@@ -7,7 +7,8 @@
 // rethrow) aborts on the first fault — the availability gap between the
 // two arms is the value of the dependability layer. One JSON line per
 // configuration (scrapeable via the {"bench":"fault_injection",...}
-// prefix).
+// prefix); a run that aborted carries no availability, since the few
+// rounds it finished say nothing about the fleet's.
 
 #include <benchmark/benchmark.h>
 
@@ -140,20 +141,25 @@ void print_experiment() {
       const auto& t = r.telemetry;
       const double coverage =
           t.system.simulated / (static_cast<double>(kFleetNodes) * kDuration);
-      std::printf("  %-6.2f %-10s %-10s %-13.6f %-10.4f %-12zu %-10zu %s\n",
+      char availability[32] = "-";
+      if (r.completed) {
+        std::snprintf(availability, sizeof availability, "%.6f",
+                      t.system.availability());
+      }
+      std::printf("  %-6.2f %-10s %-10s %-13s %-10.4f %-12zu %-10zu %s\n",
                   rate, hardened ? "hardened" : "fail-fast",
-                  r.completed ? "yes" : "no", t.system.availability(),
-                  coverage, t.resilience.nodes_quarantined,
+                  r.completed ? "yes" : "no", availability, coverage,
+                  t.resilience.nodes_quarantined,
                   r.injected.total(),
                   r.completed ? "ran to horizon"
                               : ("aborted: " + r.abort_reason).c_str());
-      bench::JsonLine()
-          .field("bench", "fault_injection")
+      bench::JsonLine row;
+      row.field("bench", "fault_injection")
           .field("fault_rate", rate)
           .field("hardened", static_cast<std::size_t>(hardened ? 1 : 0))
-          .field("completed", static_cast<std::size_t>(r.completed ? 1 : 0))
-          .field("availability", t.system.availability())
-          .field("coverage", coverage)
+          .field("completed", static_cast<std::size_t>(r.completed ? 1 : 0));
+      if (r.completed) row.field("availability", t.system.availability());
+      row.field("coverage", coverage)
           .field("rounds", t.rounds)
           .field("warnings", t.warnings_raised)
           .field("actions", t.mea.total_actions())

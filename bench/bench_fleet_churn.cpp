@@ -112,7 +112,6 @@ ChurnRun run_churn_fleet(const TrainedBaselines& preds,
   cfg.mea.evaluation_interval = 60.0;
   cfg.mea.warning_threshold = 0.6;
   cfg.num_threads = 4;
-  cfg.scheduler = runtime::FleetScheduler::kEventDriven;
   cfg.num_shards = 4;
   cfg.epoch_ticks = 4;
   cfg.membership = membership;

@@ -97,7 +97,6 @@ QualityRun run_quality_fleet(const TrainedBaselines& preds, bool quality_on) {
   cfg.mea.evaluation_interval = 60.0;
   cfg.mea.warning_threshold = 0.6;
   cfg.num_threads = 4;
-  cfg.scheduler = runtime::FleetScheduler::kEventDriven;
   cfg.num_shards = 4;
   cfg.epoch_ticks = 4;
   cfg.quality.enabled = quality_on;

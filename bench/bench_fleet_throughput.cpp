@@ -2,7 +2,8 @@
 // the Monitor-Evaluate-Act loop over N managed systems on a fixed thread
 // pool; results are bit-identical for any thread count, so the only
 // question is wall time. This bench sweeps the pool size at a fixed fleet
-// and prints one human-readable row plus one JSON line per configuration
+// (one shard per node, since shards are the unit of parallelism) and
+// prints one human-readable row plus one JSON line per configuration
 // (scrapeable via the {"bench":"fleet_throughput",...} prefix).
 
 #include <benchmark/benchmark.h>
@@ -76,16 +77,19 @@ TrainedBaselines train_baselines() {
   return out;
 }
 
-runtime::FleetTelemetry run_fleet(
-    const TrainedBaselines& preds, std::size_t num_threads,
-    double* wall_seconds, obs::Observability* hub = nullptr,
-    runtime::FleetPath path = runtime::FleetPath::kOptimized) {
+runtime::FleetTelemetry run_fleet(const TrainedBaselines& preds,
+                                  std::size_t num_threads,
+                                  double* wall_seconds,
+                                  obs::Observability* hub = nullptr) {
   runtime::FleetConfig cfg;
   cfg.mea.windows = bench::case_study_windows();
   cfg.mea.evaluation_interval = 60.0;
   cfg.mea.warning_threshold = 0.6;
   cfg.num_threads = num_threads;
-  cfg.path = path;
+  // One shard per node: threads parallelize across shards only, so this
+  // is the widest the pool can go on this fleet.
+  cfg.num_shards = kFleetNodes;
+  cfg.epoch_ticks = 1;
   cfg.obs = hub;
 
   runtime::FleetController fleet(
@@ -147,15 +151,14 @@ void print_experiment(const TrainedBaselines& preds) {
         .emit();
   }
   std::printf("\n(the Monitor stage dominates: node simulation is the bulk "
-              "of each round, and it parallelizes across nodes)\n\n");
+              "of each round, and it parallelizes across shards)\n\n");
 }
 
 // --- shard-scaling arm (E15) ----------------------------------------------
 //
-// The event-driven sharded scheduler's claim is structural: adaptive
-// sampling visits quiet nodes exponentially less often, so fleet
-// throughput (simulated node-seconds per wall second) scales with the
-// fleet, not with the dense visit count. The workload here is tuned to
+// Adaptive sampling's claim is structural: it visits quiet nodes
+// exponentially less often, so fleet throughput (simulated node-seconds
+// per wall second) scales with the fleet, not with the dense visit count. The workload here is tuned to
 // the regime that scheduler targets — many cheap single-unit nodes whose
 // per-visit Evaluate cost (symptom windowing + ensemble scoring)
 // dominates the coarse simulator tick, and a fleet that is quiet most of
@@ -185,7 +188,7 @@ struct ShardRun {
 
 ShardRun run_shard_fleet(const TrainedBaselines& preds, std::size_t nodes,
                          std::size_t threads, std::size_t shards,
-                         bool event_driven, double duration_seconds) {
+                         bool adaptive, double duration_seconds) {
   runtime::FleetConfig cfg;
   cfg.mea.windows = bench::case_study_windows();
   cfg.mea.evaluation_interval = 30.0;
@@ -194,9 +197,8 @@ ShardRun run_shard_fleet(const TrainedBaselines& preds, std::size_t nodes,
   // is the realistic Evaluate weight adaptive sampling amortizes.
   cfg.mea.context_samples = 240;
   cfg.num_threads = threads;
-  if (event_driven) {
-    cfg.scheduler = runtime::FleetScheduler::kEventDriven;
-    cfg.num_shards = shards;
+  cfg.num_shards = shards;
+  if (adaptive) {
     cfg.epoch_ticks = 8;
     cfg.schedule.adaptive = true;
     cfg.schedule.max_gap = 16;
@@ -228,13 +230,13 @@ ShardRun run_shard_fleet(const TrainedBaselines& preds, std::size_t nodes,
 
 void emit_shard_row(const char* mode, std::size_t shards,
                     std::size_t threads, const ShardRun& r,
-                    double speedup_vs_lockstep) {
+                    double speedup_vs_dense) {
   const double scores_per_sec =
       r.wall > 0.0 ? static_cast<double>(r.t.scores_computed) / r.wall : 0.0;
   const double sim_sec_per_sec =
       r.wall > 0.0 ? r.t.system.simulated / r.wall : 0.0;
   std::printf("  %-9s %-8zu %-8zu %-9.2f %-9.2f %-12.0f %-10.0f %-11zu\n",
-              mode, shards, threads, r.wall, speedup_vs_lockstep,
+              mode, shards, threads, r.wall, speedup_vs_dense,
               sim_sec_per_sec, scores_per_sec, r.t.node_steps);
   bench::JsonLine()
       .field("bench", "fleet_shard_scaling")
@@ -243,7 +245,7 @@ void emit_shard_row(const char* mode, std::size_t shards,
       .field("shards", shards)
       .field("threads", threads)
       .field("wall_seconds", r.wall)
-      .field("speedup_vs_lockstep", speedup_vs_lockstep)
+      .field("speedup_vs_dense", speedup_vs_dense)
       .field("sim_seconds_per_second", sim_sec_per_sec)
       .field("scores_per_second", scores_per_sec)
       .field("rounds", r.t.rounds)
@@ -260,8 +262,8 @@ void print_shard_scaling(const TrainedBaselines& preds) {
   const std::size_t grid_nodes = g_quick ? 256 : 512;
   const double grid_duration = g_quick ? 3600.0 : 7200.0;
 
-  std::printf("== E15 (extension): sharded event-driven scheduling vs "
-              "lockstep ==\n");
+  std::printf("== E15 (extension): adaptive sharded scheduling vs the "
+              "dense schedule ==\n");
   std::printf("(%zu single-unit nodes x %.0f sim-s; adaptive sampling, "
               "max_gap 16, epoch_ticks 8)\n\n",
               grid_nodes, grid_duration);
@@ -269,10 +271,11 @@ void print_shard_scaling(const TrainedBaselines& preds) {
               "shards", "threads", "wall [s]", "speedup", "sim-s/s",
               "scores/s", "node_steps");
 
-  // The 8-thread lockstep baseline the ≥1.5x gate measures against.
-  const auto lockstep =
-      run_shard_fleet(preds, grid_nodes, 8, 1, false, grid_duration);
-  emit_shard_row("lockstep", 1, 8, lockstep, 1.0);
+  // The ≥1.5x gate's baseline: the dense schedule (every node every
+  // tick, epoch_ticks 1) at the gate's 8 shards and 8 threads.
+  const auto dense =
+      run_shard_fleet(preds, grid_nodes, 8, 8, false, grid_duration);
+  emit_shard_row("dense", 8, 8, dense, 1.0);
 
   // Shard sweep at the gate thread count.
   const std::vector<std::size_t> shard_sweep =
@@ -282,10 +285,10 @@ void print_shard_scaling(const TrainedBaselines& preds) {
     const auto r =
         run_shard_fleet(preds, grid_nodes, 8, shards, true, grid_duration);
     emit_shard_row("event", shards, 8, r,
-                   r.wall > 0.0 ? lockstep.wall / r.wall : 0.0);
+                   r.wall > 0.0 ? dense.wall / r.wall : 0.0);
   }
 
-  // Thread sweep at 8 shards: how the event-driven path scales with the
+  // Thread sweep at 8 shards: how the adaptive path scales with the
   // pool (each shard is sequential, shards spread across threads).
   const std::vector<std::size_t> thread_sweep =
       g_quick ? std::vector<std::size_t>{1u}
@@ -294,7 +297,7 @@ void print_shard_scaling(const TrainedBaselines& preds) {
     const auto r =
         run_shard_fleet(preds, grid_nodes, threads, 8, true, grid_duration);
     emit_shard_row("event", 8, threads, r,
-                   r.wall > 0.0 ? lockstep.wall / r.wall : 0.0);
+                   r.wall > 0.0 ? dense.wall / r.wall : 0.0);
   }
 
   // Fleet-scale row: 10^5 adaptive nodes over a short horizon. Skipped
@@ -362,77 +365,6 @@ void print_obs_overhead(const TrainedBaselines& preds) {
       .field("spans_recorded", spans_recorded)
       .field("spans_dropped", spans_dropped)
       .emit();
-}
-
-/// Optimized-vs-reference arm: the same seeded fleet through both
-/// FleetPath settings at the widest pool. Emits one JSON row per path
-/// carrying the run fingerprint (rounds/warnings/actions/availability) —
-/// the regression gate in tools/bench_to_json.py checks the wall-time
-/// ratio, and this function itself aborts if the fingerprints diverge
-/// (paths must differ in wall time only).
-void print_path_comparison(const TrainedBaselines& preds) {
-  std::printf("== hot path: optimized vs reference (8 threads) ==\n");
-  constexpr std::size_t kThreads = 8;
-  // Best-of-N keeps scheduler noise out of the gated ratio; two reps
-  // even in quick mode — this arm feeds a CI regression gate.
-  const int reps = g_quick ? 2 : 3;
-
-  struct Arm {
-    runtime::FleetPath path;
-    const char* name;
-    double wall = 0.0;
-    runtime::FleetTelemetry telemetry;
-  };
-  Arm arms[] = {{runtime::FleetPath::kReference, "reference", 0.0, {}},
-                {runtime::FleetPath::kOptimized, "optimized", 0.0, {}},
-                {runtime::FleetPath::kSimd, "simd", 0.0, {}}};
-  for (auto& arm : arms) {
-    for (int rep = 0; rep < reps; ++rep) {
-      double wall = 0.0;
-      arm.telemetry = run_fleet(preds, kThreads, &wall, nullptr, arm.path);
-      arm.wall = rep == 0 ? wall : std::min(arm.wall, wall);
-    }
-    const double steps_per_sec =
-        arm.wall > 0.0
-            ? static_cast<double>(arm.telemetry.rounds) / arm.wall
-            : 0.0;
-    std::printf("  %-10s wall %.3f s, %.0f steps/s, %zu warnings, "
-                "%zu actions, availability %.6f\n",
-                arm.name, arm.wall, steps_per_sec,
-                arm.telemetry.warnings_raised,
-                arm.telemetry.mea.total_actions(),
-                arm.telemetry.system.availability());
-    bench::JsonLine()
-        .field("bench", "fleet_path")
-        .field("path", arm.name)
-        .field("nodes", kFleetNodes)
-        .field("threads", kThreads)
-        .field("wall_seconds", arm.wall)
-        .field("steps_per_second", steps_per_sec)
-        .field("rounds", arm.telemetry.rounds)
-        .field("warnings", arm.telemetry.warnings_raised)
-        .field("actions", arm.telemetry.mea.total_actions())
-        .field("availability", arm.telemetry.system.availability())
-        .emit();
-  }
-  const Arm& ref = arms[0];
-  for (const Arm& arm : arms) {
-    if (ref.telemetry.rounds != arm.telemetry.rounds ||
-        ref.telemetry.warnings_raised != arm.telemetry.warnings_raised ||
-        ref.telemetry.mea.total_actions() !=
-            arm.telemetry.mea.total_actions() ||
-        ref.telemetry.system.availability() !=
-            arm.telemetry.system.availability()) {
-      std::fprintf(stderr,
-                   "FATAL: the %s path diverged from the reference path — "
-                   "the paths must differ in wall time only\n",
-                   arm.name);
-      std::exit(1);
-    }
-  }
-  const Arm& opt = arms[1];
-  std::printf("  speedup (reference/optimized): %.2fx\n\n",
-              opt.wall > 0.0 ? ref.wall / opt.wall : 0.0);
 }
 
 // --- SIMD kernel-sweep + frozen-serving arms ------------------------------
@@ -605,7 +537,7 @@ void print_frozen_serving() {
 }
 
 void BM_FleetRoundSingleThread(benchmark::State& state) {
-  // Cost of one lockstep MEA round (Monitor+Evaluate+Act) at 1 thread.
+  // Cost of one dense MEA round (Monitor+Evaluate+Act) at 1 thread.
   const auto preds = train_baselines();
   runtime::FleetConfig cfg;
   cfg.mea.windows = bench::case_study_windows();
@@ -644,7 +576,6 @@ int main(int argc, char** argv) {
   print_experiment(preds);
   print_shard_scaling(preds);
   print_obs_overhead(preds);
-  print_path_comparison(preds);
   print_simd_sweep();
   print_frozen_serving();
   if (!g_quick) {

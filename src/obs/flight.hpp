@@ -9,8 +9,8 @@
 // the last N events that led up to it, like an aircraft flight recorder.
 //
 // Ownership mirrors the rest of the obs layer: a scope's ring is written
-// only by the thread currently stepping that node/shard (controller
-// under lockstep, shard thread under the event-driven scheduler), dumps
+// only by the thread currently stepping that node/shard (the pool thread
+// driving its shard), dumps
 // are rendered by the same owning thread and stored on the scope, and
 // post_mortems_text() concatenates them on the controller between
 // parallel sections, ordered by the deterministic (time, scope, seq)
@@ -70,8 +70,7 @@ class FlightRecorder {
   std::size_t capacity() const noexcept { return capacity_; }
 
   /// Controller-thread sizing (never shrinks). Lane scopes are indexed
-  /// shard * stride + predictor; a lockstep fleet registers stride =
-  /// predictor count with a single shard 0.
+  /// shard * stride + predictor, with stride = predictor count.
   void ensure_nodes(std::size_t count);
   void ensure_lanes(std::size_t count, std::size_t stride);
 

@@ -25,8 +25,8 @@
 //
 // Concurrency / determinism: per-(node, lane) tallies and the per-node
 // pending ring are owned by whichever thread is stepping the node (the
-// controller under the lockstep scheduler, the shard thread under the
-// event-driven one) — the same ownership discipline as SystemStats.
+// pool thread driving the node's shard) — the same ownership discipline
+// as SystemStats.
 // Shared per-lane totals (outcome counters, score-distribution bins) go
 // through the per-thread-sharded Counter, whose integer merge is exact,
 // so every exported value is a pure function of (seed, fault plan,

@@ -37,7 +37,7 @@ struct SymptomContext {
 /// overloads); kSimd routes the arithmetic through num::simd over the
 /// same SoA columns — scores agree within the documented ULP bound (see
 /// DESIGN.md §13), threshold decisions are pinned identical on the
-/// conformance corpus. The fleet runtime sets this from FleetPath.
+/// conformance corpus. The fleet runtime always uses kScalar.
 enum class BatchKernel : std::uint8_t {
   kScalar = 0,
   kSimd = 1,

@@ -16,10 +16,9 @@
 
 namespace pfm::runtime {
 
-/// Adaptive sampling policy of the event-driven scheduler. With
-/// `adaptive` false the calendar degenerates to the dense schedule —
-/// every node due every tick — which is the lockstep-equivalent mode the
-/// conformance suite pins byte-identical to the flat loop.
+/// Adaptive sampling policy of the fleet scheduler. With `adaptive`
+/// false (the default) the calendar degenerates to the dense schedule —
+/// every node due every tick.
 struct SchedulePolicy {
   bool adaptive = false;
   /// Largest number of ticks a quiet node may sleep between visits.

@@ -65,10 +65,6 @@ void ShardController::resize_predictors(std::size_t num_predictors) {
   breakers_.resize(num_predictors);
   columns_.resize(num_predictors);
   batch_scratch_.resize(num_predictors);
-  const pred::BatchKernel kernel = env_.config->path == FleetPath::kSimd
-                                       ? pred::BatchKernel::kSimd
-                                       : pred::BatchKernel::kScalar;
-  for (auto& scratch : batch_scratch_) scratch.kernel = kernel;
 }
 
 void ShardController::set_quality(obs::QualityTracker* quality,
@@ -191,7 +187,6 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
   const double threshold = config.mea.warning_threshold;
   const ResilienceConfig& res = config.resilience;
   const bool hardened = res.enabled;
-  const bool optimized = config.path != FleetPath::kReference;
   auto& nodes = *env_.nodes;
   const auto& symptom = *env_.symptom;
   const auto& event = *env_.event;
@@ -219,7 +214,7 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
   }
   // Stage spans of one shard tick share the shard-local round ordinal as
   // their `sub` (== the global rounds counter for a 1-shard fleet on a
-  // fresh hub, preserving lockstep byte-identity).
+  // fresh hub).
   const std::uint32_t round = ++local_rounds_;
 
   // --- Monitor: advance every due node by its pending gap. -----------------
@@ -247,8 +242,7 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
         try {
           node.step_to(target);
         } catch (...) {  // pfm-lint: allow(concurrency) — shard-local
-                         // capture; processed right below, mirroring the
-                         // lockstep loop's parallel_for_captured
+                         // capture; processed right below
           errors_[a] = std::current_exception();
         }
       } else {
@@ -362,19 +356,11 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
       auto score_one = [&] {
         if (p < symptom.size()) {
           column.resize(contexts_.size());
-          if (optimized) {
-            symptom[p]->score_batch(contexts_, column, batch_scratch_[p]);
-          } else {
-            symptom[p]->score_batch(contexts_, column);
-          }
+          symptom[p]->score_batch(contexts_, column, batch_scratch_[p]);
         } else {
           column.resize(sequences_.size());
-          const auto& ep = *event[p - symptom.size()];
-          if (optimized) {
-            ep.score_batch(sequences_, column, batch_scratch_[p]);
-          } else {
-            ep.score_batch(sequences_, column);
-          }
+          event[p - symptom.size()]->score_batch(sequences_, column,
+                                                 batch_scratch_[p]);
         }
         span.set_arg(static_cast<std::int64_t>(column.size()));
       };
@@ -382,8 +368,7 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
         try {
           score_one();
         } catch (...) {  // pfm-lint: allow(concurrency) — shard-local
-                         // capture feeding the per-predictor breaker,
-                         // mirroring the lockstep loop
+                         // capture feeding the per-predictor breaker
           errors_[lp] = std::current_exception();
         }
       } else {
@@ -483,7 +468,7 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
     }
     // Quality: record this tick's evaluation instants (per-predictor
     // lanes NaN when the predictor sat out; the combined lane carries
-    // the thresholded max-reduce). Mirrors the lockstep loop exactly.
+    // the thresholded max-reduce).
     if (quality_ != nullptr) {
       const double nan = std::numeric_limits<double>::quiet_NaN();
       scored_.assign(num_predictors, 0);
@@ -515,15 +500,14 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
     }
   }  // evaluate_span
   inst.evaluate_latency->observe(seconds_since(evaluate_start));
-  if (optimized) {
-    // Footprint accounting mirrors the lockstep loop; the owning
-    // controller reads the per-shard totals after the run (the scratch
-    // gauge is a controller-thread instrument).
-    const std::size_t bytes = scratch_capacity_bytes();
-    if (bytes > scratch_bytes_seen_) {
-      ++scratch_grow_events_;
-      scratch_bytes_seen_ = bytes;
-    }
+  // Footprint accounting: after warm-up the arenas stop growing, so this
+  // settles to zero new events (the stress suite asserts it). The owning
+  // controller reads the per-shard totals after the run (the scratch
+  // gauge is a controller-thread instrument).
+  const std::size_t bytes = scratch_capacity_bytes();
+  if (bytes > scratch_bytes_seen_) {
+    ++scratch_grow_events_;
+    scratch_bytes_seen_ = bytes;
   }
 
   // --- Act: warned nodes run their own countermeasure engines. --------------
@@ -560,8 +544,7 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
         try {
           engine.act(*nodes[i], combined_[a], config.mea, (*env_.stats)[i]);
         } catch (...) {  // pfm-lint: allow(concurrency) — shard-local
-                         // capture; quarantined right below like the
-                         // lockstep loop's Act stage
+                         // capture; quarantined right below
           errors_[a] = std::current_exception();
         }
       } else {

@@ -1,6 +1,6 @@
 #pragma once
 
-// Per-shard hierarchical controller of the event-driven fleet runtime
+// Per-shard hierarchical controller of the fleet runtime
 // (DESIGN.md §10). A ShardController owns one contiguous block of the
 // fleet and everything stateful about running it: the block's calendar
 // queue and adaptive sampling state, its quarantine records, its own
@@ -9,7 +9,7 @@
 // touches only shard-local state plus sharded metric instruments (and
 // the shared read-only predictors), so shards compose without locks:
 // the cross-shard epoch barrier — the pool handshake in
-// FleetController::run_event_driven — is the only synchronization.
+// FleetController::run_until — is the only synchronization.
 
 #include <cstdint>
 #include <exception>
@@ -63,11 +63,10 @@ struct NodeHandoff {
   NodeSchedule sched;
 };
 
-/// One shard of the event-driven fleet: a strictly sequential
-/// Monitor-Evaluate-Act engine over the due-set of each calendar tick.
-/// Dense schedule + one shard + epoch_ticks 1 reproduces the lockstep
-/// loop's sim-time exports byte-for-byte (conformance-pinned); adaptive
-/// schedules visit each node per its own sampling gap.
+/// One shard of the fleet: a strictly sequential Monitor-Evaluate-Act
+/// engine over the due-set of each calendar tick. The dense schedule
+/// visits every node every tick; adaptive schedules visit each node per
+/// its own sampling gap.
 class ShardController {
  public:
   /// `base`/`count` delimit the shard's block of global node indices;
@@ -78,8 +77,8 @@ class ShardController {
                   std::size_t count, std::uint32_t stage_track);
 
   /// Optional per-shard throughput counters (registered by the owning
-  /// controller only when the fleet has more than one shard, so the
-  /// single-shard metric set stays identical to lockstep's).
+  /// controller only when the fleet has more than one shard, so a
+  /// single-shard fleet exports no shard-labelled series).
   void set_shard_metrics(obs::Counter* ticks, obs::Counter* node_steps);
 
   /// Sizes the per-predictor state (breakers, score columns, arenas);
@@ -180,12 +179,11 @@ class ShardController {
   std::vector<PredictorBreaker> breakers_;
   /// Shard-local round ordinal: the `sub` of this shard's stage spans.
   /// Matches the global rounds counter for a single-shard fleet on a
-  /// fresh hub — part of the lockstep byte-identity contract.
+  /// fresh hub.
   std::uint32_t local_rounds_ = 0;
 
   // Tick-scratch, reused across ticks so the hot loop stays
-  // allocation-free after warm-up (the shard-local mirror of the
-  // lockstep controller's round scratch).
+  // allocation-free after warm-up.
   std::vector<std::uint32_t> due_;
   std::vector<std::size_t> active_;           // local index per due node
   std::vector<double> pre_step_time_;

@@ -108,7 +108,8 @@ TEST(Fleet, EightNodesAreBitIdenticalAcrossThreadCounts) {
 }
 
 // A 1-node fleet is the standalone MEA controller: node 0 keeps the base
-// seed, and the lockstep round structure reduces to the single loop.
+// seed, and the dense single-shard tick structure reduces to the single
+// loop.
 TEST(Fleet, SingleNodeFleetMatchesStandaloneController) {
   auto fleet = make_fleet(1, 2);
   fleet->run();

@@ -359,8 +359,7 @@ struct Artifacts {
   std::string json_line;
 };
 
-Artifacts run_fleet(std::shared_ptr<const pred::SymptomPredictor> predictor,
-                    runtime::FleetPath path) {
+Artifacts run_fleet(std::shared_ptr<const pred::SymptomPredictor> predictor) {
   obs::ObservabilityConfig ocfg;
   ocfg.shards = 2;
   obs::Observability hub(ocfg);
@@ -375,7 +374,6 @@ Artifacts run_fleet(std::shared_ptr<const pred::SymptomPredictor> predictor,
   cfg.mea.warning_threshold = 0.6;
   cfg.mea.action_cooldown = 600.0;
   cfg.num_threads = 2;
-  cfg.path = path;
   cfg.obs = &hub;
 
   runtime::FleetController fleet(runtime::make_scp_fleet(sim, 4), cfg);
@@ -416,14 +414,10 @@ TEST(Frozen, TrainFreezeServeFleetExportsAreByteIdentical) {
   std::shared_ptr<const pred::SymptomPredictor> frozen =
       std::move(loaded.predictor);
 
-  for (auto path : {runtime::FleetPath::kOptimized,
-                    runtime::FleetPath::kSimd}) {
-    SCOPED_TRACE(path == runtime::FleetPath::kSimd ? "simd" : "optimized");
-    const auto live = run_fleet(ubf, path);
-    const auto served = run_fleet(frozen, path);
-    EXPECT_EQ(live.prometheus, served.prometheus);
-    EXPECT_EQ(live.json_line, served.json_line);
-  }
+  const auto live = run_fleet(ubf);
+  const auto served = run_fleet(frozen);
+  EXPECT_EQ(live.prometheus, served.prometheus);
+  EXPECT_EQ(live.json_line, served.json_line);
 }
 
 }  // namespace

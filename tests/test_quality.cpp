@@ -374,8 +374,6 @@ struct QualityRun {
 };
 
 QualityRun run_quality_scp_fleet(std::size_t num_threads, bool enable_quality,
-                                 runtime::FleetScheduler scheduler =
-                                     runtime::FleetScheduler::kLockstep,
                                  std::size_t num_shards = 1) {
   const std::size_t kNodes = 16;
   obs::ObservabilityConfig ocfg;
@@ -386,7 +384,6 @@ QualityRun run_quality_scp_fleet(std::size_t num_threads, bool enable_quality,
   cfg.mea.warning_threshold = 0.72;
   cfg.mea.action_cooldown = 600.0;
   cfg.num_threads = num_threads;
-  cfg.scheduler = scheduler;
   cfg.num_shards = num_shards;
   cfg.epoch_ticks = 4;
   cfg.quality.enabled = enable_quality;
@@ -454,15 +451,9 @@ TEST(QualityFleet, SimTimeQualityExportsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(QualityFleet, EventDrivenQualityExportsBitIdenticalAcrossThreadCounts) {
-  const auto t1 = run_quality_scp_fleet(1, true,
-                                        runtime::FleetScheduler::kEventDriven,
-                                        /*num_shards=*/4);
-  const auto t2 = run_quality_scp_fleet(2, true,
-                                        runtime::FleetScheduler::kEventDriven,
-                                        /*num_shards=*/4);
-  const auto t8 = run_quality_scp_fleet(8, true,
-                                        runtime::FleetScheduler::kEventDriven,
-                                        /*num_shards=*/4);
+  const auto t1 = run_quality_scp_fleet(1, true, /*num_shards=*/4);
+  const auto t2 = run_quality_scp_fleet(2, true, /*num_shards=*/4);
+  const auto t8 = run_quality_scp_fleet(8, true, /*num_shards=*/4);
   EXPECT_EQ(t1.prometheus, t2.prometheus);
   EXPECT_EQ(t1.prometheus, t8.prometheus);
 }
@@ -491,12 +482,9 @@ std::string quality_lines(const std::string& prometheus) {
 // quarantine divergence) the scoreboard depends only on each node's own
 // visit schedule — shard-count invariant by construction.
 TEST(QualityFleet, CleanFleetScoreboardIsShardCountInvariant) {
-  const auto s1 = run_quality_scp_fleet(
-      2, true, runtime::FleetScheduler::kEventDriven, 1);
-  const auto s4 = run_quality_scp_fleet(
-      2, true, runtime::FleetScheduler::kEventDriven, 4);
-  const auto s16 = run_quality_scp_fleet(
-      2, true, runtime::FleetScheduler::kEventDriven, 16);
+  const auto s1 = run_quality_scp_fleet(2, true, 1);
+  const auto s4 = run_quality_scp_fleet(2, true, 4);
+  const auto s16 = run_quality_scp_fleet(2, true, 16);
   const std::string q1 = quality_lines(s1.prometheus);
   ASSERT_FALSE(q1.empty());
   EXPECT_EQ(q1, quality_lines(s4.prometheus));

@@ -1,5 +1,5 @@
 // Differential conformance suite of the SIMD scoring layer (DESIGN.md
-// §13). Three rings, progressively wider:
+// §13). Two rings, progressively wider:
 //
 //  1. num::simd primitives: the dispatched backend must be bit-identical
 //     to the portable reference lanes on every input (including the
@@ -8,10 +8,6 @@
 //  2. The Eq. 1 kernel sweep: sweep_simd vs sweep_scalar within the
 //     documented ULP envelope, batch-composition invariant, and
 //     threshold-decision identical on the conformance corpus.
-//  3. Full-fleet replays: FleetPath::kSimd exports byte-identical to
-//     kOptimized across threads {1,2,8} and shards {1,4,16}, clean and
-//     under a hostile fault plan — the same artifact set the PR-5
-//     conformance reference pins.
 
 #include <gtest/gtest.h>
 
@@ -20,22 +16,13 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "injection/injector.hpp"
 #include "numerics/simd.hpp"
-#include "obs/export.hpp"
-#include "obs/observability.hpp"
-#include "prediction/baselines.hpp"
 #include "prediction/kernels.hpp"
-#include "prediction/ubf.hpp"
 #include "property.hpp"
-#include "runtime/fleet.hpp"
-#include "runtime/scp_system.hpp"
-#include "telecom/simulator.hpp"
 
 namespace pfm {
 namespace {
@@ -434,205 +421,6 @@ TEST(SimdSweep, ScalarSweepIsBitIdenticalToScoreOne) {
               << "i=" << i;
         }
       });
-}
-
-// === ring 3: full-fleet replays =============================================
-
-constexpr double kDuration = 0.3 * 86400.0;
-
-pred::WindowGeometry geometry() { return {600.0, 300.0, 300.0}; }
-
-/// Ensemble trained once per process — UBF with greedy-forward selection
-/// kept cheap (this suite's focus is the serving path, not the wrapper
-/// search), plus the trend + eventset arena exercisers.
-struct Ensemble {
-  std::shared_ptr<const pred::SymptomPredictor> ubf;
-  std::shared_ptr<const pred::SymptomPredictor> trend;
-  std::shared_ptr<const pred::EventPredictor> eventset;
-};
-
-const Ensemble& ensemble() {
-  static const Ensemble shared = [] {
-    telecom::SimConfig cfg;
-    cfg.seed = 5;
-    cfg.duration = 4.0 * 86400.0;
-    telecom::ScpSimulator sim(cfg);
-    sim.run();
-    const auto trace = sim.take_trace();
-    const auto g = geometry();
-
-    pred::UbfConfig ubf_cfg;
-    ubf_cfg.windows = g;
-    ubf_cfg.num_kernels = 4;
-    ubf_cfg.selection = pred::VariableSelection::kForward;
-    ubf_cfg.shape_evaluations = 80;
-    ubf_cfg.max_train_windows = 900;
-    auto ubf = std::make_shared<pred::UbfPredictor>(ubf_cfg);
-    ubf->train(trace);
-
-    auto trend = std::make_shared<pred::TrendPredictor>(g);
-    trend->train(trace);
-
-    auto eventset = std::make_shared<pred::EventsetPredictor>();
-    eventset->train(trace.failure_sequences(g.data_window, g.lead_time),
-                    trace.nonfailure_sequences(g.data_window, g.lead_time,
-                                               g.prediction_window, 300.0));
-
-    Ensemble out;
-    out.ubf = std::move(ubf);
-    out.trend = std::move(trend);
-    out.eventset = std::move(eventset);
-    return out;
-  }();
-  return shared;
-}
-
-struct Artifacts {
-  std::string prometheus;
-  std::string trace_json;
-  std::string json_line;
-  std::uint64_t dropped = 0;
-  std::size_t warnings = 0;
-};
-
-struct RunSpec {
-  std::size_t nodes = 6;
-  std::size_t threads = 1;
-  runtime::FleetPath path = runtime::FleetPath::kOptimized;
-  runtime::FleetScheduler scheduler = runtime::FleetScheduler::kLockstep;
-  std::size_t num_shards = 1;
-  std::size_t epoch_ticks = 1;
-  bool hostile = false;
-};
-
-inj::FaultPlan hostile_plan() {
-  inj::FaultPlan plan;
-  plan.seed = 77;
-  plan.nodes[1].crash_at = 10000.0;
-  plan.default_node.drop_sample_p = 0.03;
-  plan.default_node.corrupt_sample_p = 0.02;
-  plan.predictors[0].nan_p = 0.05;
-  plan.predictors[0].throw_p = 0.02;
-  plan.actions[0].fail_p = 0.3;
-  return plan;
-}
-
-Artifacts run_fleet(const RunSpec& spec) {
-  obs::ObservabilityConfig ocfg;
-  ocfg.shards = spec.threads;
-  ocfg.trace_capacity = 1 << 16;
-  obs::Observability hub(ocfg);
-
-  telecom::SimConfig sim;
-  sim.seed = 21;
-  sim.duration = kDuration;
-  sim.leak_mtbf = 21600.0;
-
-  runtime::FleetConfig cfg;
-  cfg.mea.windows = geometry();
-  cfg.mea.warning_threshold = 0.6;
-  cfg.mea.action_cooldown = 600.0;
-  cfg.num_threads = spec.threads;
-  cfg.path = spec.path;
-  cfg.scheduler = spec.scheduler;
-  cfg.num_shards = spec.num_shards;
-  cfg.epoch_ticks = spec.epoch_ticks;
-  cfg.obs = &hub;
-
-  const auto& e = ensemble();
-  auto nodes = runtime::make_scp_fleet(sim, spec.nodes);
-  inj::FaultInjector injector(hostile_plan());
-  injector.set_observability(&hub);
-
-  auto make_cleanup = [] {
-    return std::make_unique<act::StateCleanupAction>(0.70);
-  };
-
-  runtime::FleetController fleet(
-      spec.hostile ? injector.wrap_fleet(std::move(nodes)) : std::move(nodes),
-      cfg);
-  if (spec.hostile) {
-    fleet.add_symptom_predictor(injector.wrap_symptom_predictor(0, e.ubf));
-    fleet.add_symptom_predictor(injector.wrap_symptom_predictor(1, e.trend));
-    fleet.add_event_predictor(injector.wrap_event_predictor(0, e.eventset));
-    fleet.add_action(injector.wrap_action_factory(0, make_cleanup));
-  } else {
-    fleet.add_symptom_predictor(e.ubf);
-    fleet.add_symptom_predictor(e.trend);
-    fleet.add_event_predictor(e.eventset);
-    fleet.add_action(make_cleanup);
-  }
-  fleet.run();
-
-  Artifacts out;
-  out.prometheus = obs::prometheus_text(hub.metrics(), /*include_wall=*/false);
-  out.trace_json = obs::chrome_trace_json(hub.trace(), /*include_wall=*/false);
-  out.json_line = obs::metrics_json_line(hub.metrics(), /*include_wall=*/false);
-  out.dropped = hub.trace().dropped();
-  out.warnings = fleet.telemetry().warnings_raised;
-  return out;
-}
-
-void expect_identical(const Artifacts& a, const Artifacts& b) {
-  EXPECT_EQ(a.prometheus, b.prometheus);
-  EXPECT_EQ(a.trace_json, b.trace_json);
-  EXPECT_EQ(a.json_line, b.json_line);
-}
-
-/// kSimd vs kOptimized across thread counts: every sim-time export byte
-/// for byte. ULP-level score differences are allowed by the policy but
-/// must never surface in a threshold decision on this corpus.
-void run_thread_matrix(bool hostile) {
-  RunSpec base;
-  base.hostile = hostile;
-  const auto canonical = run_fleet(base);
-  ASSERT_EQ(canonical.dropped, 0u);
-  EXPECT_GT(canonical.warnings, 0u) << "scenario too tame to pin decisions";
-
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                              std::size_t{8}}) {
-    SCOPED_TRACE(std::string(hostile ? "hostile" : "clean") +
-                 " simd threads=" + std::to_string(threads));
-    RunSpec spec = base;
-    spec.threads = threads;
-    spec.path = runtime::FleetPath::kSimd;
-    const auto run = run_fleet(spec);
-    ASSERT_EQ(run.dropped, 0u);
-    expect_identical(canonical, run);
-  }
-}
-
-TEST(SimdFleet, CleanExportsByteIdenticalAcrossThreadCounts) {
-  run_thread_matrix(/*hostile=*/false);
-}
-
-TEST(SimdFleet, HostileExportsByteIdenticalAcrossThreadCounts) {
-  run_thread_matrix(/*hostile=*/true);
-}
-
-/// The sharded event-driven replays: per shard count, kSimd must match
-/// kOptimized exactly (results legitimately depend on the shard count —
-/// shards batch and breaker-bank independently — so each count is its
-/// own reference).
-TEST(SimdFleet, ShardedExportsByteIdenticalPerShardCount) {
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4},
-                             std::size_t{16}}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    RunSpec reference;
-    reference.nodes = 16;
-    reference.scheduler = runtime::FleetScheduler::kEventDriven;
-    reference.num_shards = shards;
-    reference.epoch_ticks = 4;
-    const auto canonical = run_fleet(reference);
-    ASSERT_EQ(canonical.dropped, 0u);
-
-    RunSpec spec = reference;
-    spec.path = runtime::FleetPath::kSimd;
-    spec.threads = 2;
-    const auto run = run_fleet(spec);
-    ASSERT_EQ(run.dropped, 0u);
-    expect_identical(canonical, run);
-  }
 }
 
 }  // namespace

@@ -7,11 +7,9 @@ The interesting properties:
   - scraping tolerates garbage and keeps valid records;
   - a missing binary or a bench with no JSON rows exits non-zero
     *before* any BENCH_*.json is written (no partial refresh);
-  - the fleet-path regression gate fires on a >10% loss against the
-    reference path or against the committed baseline, and skips
-    cleanly when the baseline predates the fleet_path arm;
-  - the shard-scaling gate fires when the 8-shard/8-thread event-driven
-    run is not >=1.5x faster than the 8-thread lockstep baseline, and
+  - a failing gate exits non-zero before any BENCH_*.json is written;
+  - the shard-scaling gate fires when the 8-shard/8-thread adaptive run
+    is not >=1.5x faster than the 8-shard/8-thread dense baseline, and
     refuses to compare rows from different fleet sizes;
   - the churn-overhead gate fires when the armed-but-idle elastic
     membership arm costs >5%, when its policy fired (the ratio is then
@@ -41,19 +39,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 import bench_to_json  # noqa: E402
 
 
-def path_rows(ref_wall, opt_wall):
+def shard_rows(dense_wall, event_wall, nodes=512, event_nodes=None):
     return [
-        {"bench": "fleet_path", "path": "reference", "threads": 8,
-         "wall_seconds": ref_wall},
-        {"bench": "fleet_path", "path": "optimized", "threads": 8,
-         "wall_seconds": opt_wall},
-    ]
-
-
-def shard_rows(lockstep_wall, event_wall, nodes=512, event_nodes=None):
-    return [
-        {"bench": "fleet_shard_scaling", "mode": "lockstep", "nodes": nodes,
-         "shards": 1, "threads": 8, "wall_seconds": lockstep_wall},
+        {"bench": "fleet_shard_scaling", "mode": "dense", "nodes": nodes,
+         "shards": 8, "threads": 8, "wall_seconds": dense_wall},
         {"bench": "fleet_shard_scaling", "mode": "event",
          "nodes": event_nodes if event_nodes is not None else nodes,
          "shards": 8, "threads": 8, "wall_seconds": event_wall},
@@ -67,50 +56,17 @@ class ScrapeTest(unittest.TestCase):
             '{"bench":"fleet_throughput","threads":1,"wall_seconds":1.0}',
             '{"bench":"broken", unparsable}',
             "  threads  wall [s]",
-            '  {"bench":"fleet_path","path":"optimized","wall_seconds":0.5}',
+            '  {"bench":"fleet_shard_scaling","mode":"event","shards":8}',
             '{"not_a_bench":"x"}',
         ])
         records = bench_to_json.scrape_json_lines(text)
         self.assertEqual(len(records), 2)
         self.assertEqual(records[0]["bench"], "fleet_throughput")
-        self.assertEqual(records[1]["path"], "optimized")
-
-
-class PathGateTest(unittest.TestCase):
-    def test_speedup_is_reference_over_optimized(self):
-        self.assertAlmostEqual(
-            bench_to_json.path_speedup(path_rows(1.5, 1.0)), 1.5)
-
-    def test_incomplete_arm_yields_none_and_fails_the_gate(self):
-        rows = path_rows(1.5, 1.0)[:1]
-        self.assertIsNone(bench_to_json.path_speedup(rows))
-        with self.assertRaises(SystemExit):
-            bench_to_json.check_path_regression(rows, [])
-
-    def test_optimized_much_slower_than_reference_fails(self):
-        with self.assertRaises(SystemExit):
-            bench_to_json.check_path_regression(path_rows(1.0, 1.2), [])
-
-    def test_regression_against_committed_baseline_fails(self):
-        fresh = path_rows(1.05, 1.0)      # 1.05x now
-        baseline = path_rows(1.5, 1.0)    # 1.50x committed; floor 1.35x
-        with self.assertRaises(SystemExit):
-            bench_to_json.check_path_regression(fresh, baseline)
-
-    def test_within_budget_passes(self):
-        fresh = path_rows(1.40, 1.0)
-        baseline = path_rows(1.5, 1.0)
-        bench_to_json.check_path_regression(fresh, baseline)
-
-    def test_baseline_without_path_arm_skips_the_comparison(self):
-        fresh = path_rows(1.1, 1.0)
-        baseline = [{"bench": "fleet_throughput", "threads": 8,
-                     "wall_seconds": 1.0}]
-        bench_to_json.check_path_regression(fresh, baseline)
+        self.assertEqual(records[1]["mode"], "event")
 
 
 class ShardGateTest(unittest.TestCase):
-    def test_speedup_is_lockstep_over_event(self):
+    def test_speedup_is_dense_over_event(self):
         self.assertAlmostEqual(
             bench_to_json.shard_speedup(shard_rows(3.0, 1.5)), 2.0)
 
@@ -132,6 +88,9 @@ class ShardGateTest(unittest.TestCase):
         rows.append({"bench": "fleet_shard_scaling", "mode": "event",
                      "nodes": 512, "shards": 8, "threads": 1,
                      "wall_seconds": 9.0})
+        rows.append({"bench": "fleet_shard_scaling", "mode": "dense",
+                     "nodes": 512, "shards": 1, "threads": 8,
+                     "wall_seconds": 0.01})
         self.assertAlmostEqual(bench_to_json.shard_speedup(rows), 2.0)
 
     def test_speedup_below_floor_fails(self):
@@ -269,9 +228,9 @@ class ChurnGateTest(unittest.TestCase):
 class MainAtomicityTest(unittest.TestCase):
     """main() must not write any BENCH_*.json until everything passed."""
 
-    def run_main(self, build_dir, out_dir, extra=()):
+    def run_main(self, build_dir, out_dir):
         argv = ["bench_to_json.py", "--build-dir", str(build_dir),
-                "--out-dir", str(out_dir), *extra]
+                "--out-dir", str(out_dir)]
         old = sys.argv
         sys.argv = argv
         try:
@@ -285,15 +244,11 @@ class MainAtomicityTest(unittest.TestCase):
         path.write_text(body)
         path.chmod(path.stat().st_mode | stat.S_IEXEC)
 
-    def good_fleet_lines(self):
+    def good_fleet_lines(self, shard_speedup=2.0):
         return [
             json.dumps({"bench": "fleet_throughput", "threads": 8,
                         "wall_seconds": 1.0}),
-            json.dumps({"bench": "fleet_path", "path": "reference",
-                        "wall_seconds": 1.2}),
-            json.dumps({"bench": "fleet_path", "path": "optimized",
-                        "wall_seconds": 1.0}),
-            *(json.dumps(row) for row in shard_rows(3.0, 1.5)),
+            *(json.dumps(row) for row in shard_rows(shard_speedup, 1.0)),
             json.dumps(simd_row(2.4)),
             json.dumps(frozen_row(0.98)),
         ]
@@ -360,36 +315,33 @@ class MainAtomicityTest(unittest.TestCase):
             fleet = json.loads((out / "BENCH_fleet.json").read_text())
             # All three fleet benches merged into one array, in BENCHES
             # order: throughput rows, then churn, then quality.
-            self.assertEqual(len(fleet), 11)
+            self.assertEqual(len(fleet), 9)
             self.assertEqual(fleet[0]["bench"], "fleet_throughput")
-            self.assertEqual(fleet[5]["bench"], "simd_kernel_sweep")
-            self.assertEqual(fleet[6]["bench"], "frozen_serving")
-            self.assertEqual(fleet[7]["bench"], "fleet_churn")
-            self.assertEqual(fleet[8]["bench"], "fleet_churn_overhead")
-            self.assertEqual(fleet[9]["bench"], "fleet_quality")
-            self.assertEqual(fleet[10]["bench"], "fleet_quality_overhead")
+            self.assertEqual(fleet[3]["bench"], "simd_kernel_sweep")
+            self.assertEqual(fleet[4]["bench"], "frozen_serving")
+            self.assertEqual(fleet[5]["bench"], "fleet_churn")
+            self.assertEqual(fleet[6]["bench"], "fleet_churn_overhead")
+            self.assertEqual(fleet[7]["bench"], "fleet_quality")
+            self.assertEqual(fleet[8]["bench"], "fleet_quality_overhead")
             injection = json.loads((out / "BENCH_injection.json").read_text())
             self.assertEqual(injection[0]["bench"], "injection")
 
-    def test_explicit_baseline_gates_the_refresh(self):
+    def test_failing_gate_blocks_the_refresh(self):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = pathlib.Path(tmp)
             bench_dir = tmp / "build" / "bench"
             bench_dir.mkdir(parents=True)
             self.fake_bench(bench_dir, "bench_fleet_throughput",
-                            self.good_fleet_lines())  # 1.2x speedup
+                            self.good_fleet_lines(shard_speedup=1.2))
             self.fake_bench(bench_dir, "bench_fleet_churn",
                             self.good_churn_lines())
             self.fake_bench(bench_dir, "bench_fleet_quality",
                             self.good_quality_lines())
             self.fake_bench(bench_dir, "bench_fault_injection",
                             [json.dumps({"bench": "injection"})])
-            committed = tmp / "BENCH_fleet.json"
-            committed.write_text(json.dumps(path_rows(2.0, 1.0)))  # 2.0x
             out = tmp / "out"
             with self.assertRaises(SystemExit):
-                self.run_main(tmp / "build", out,
-                              extra=("--baseline", str(committed)))
+                self.run_main(tmp / "build", out)
             self.assertFalse(out.exists())
 
 
