@@ -20,7 +20,6 @@
 #include "bench_common.hpp"
 #include "monitoring/types.hpp"
 #include "numerics/rng.hpp"
-#include "numerics/simd.hpp"
 #include "obs/observability.hpp"
 #include "prediction/baselines.hpp"
 #include "prediction/frozen.hpp"
@@ -367,20 +366,15 @@ void print_obs_overhead(const TrainedBaselines& preds) {
       .emit();
 }
 
-// --- SIMD kernel-sweep + frozen-serving arms ------------------------------
+// --- frozen-serving arm ----------------------------------------------------
 //
-// The vectorized Eq. 1 mixture-kernel sweep against the scalar reference
-// over identical pre-gathered SoA columns, and the frozen-artifact
-// serving path against the live engine over the same model. The SIMD row
-// feeds the >=2x gate in tools/bench_to_json.py (skipped when only the
-// scalar backend is compiled in); the frozen row is a mmap-serving
-// sanity ratio, not a speedup claim — both predictors wrap the same
-// gather + sweep functions.
+// The frozen-artifact serving path against the live engine over the same
+// model: a mmap-serving sanity ratio, not a speedup claim — both
+// predictors wrap the same gather + sweep functions.
 
-/// Synthetic but well-formed mixture model (the same shape the SIMD
-/// conformance suite uses): width-derived constants built with the exact
-/// reference expressions, all-level features so one-sample contexts
-/// suffice for the serving arm.
+/// Synthetic but well-formed mixture model: width-derived constants built
+/// with the exact reference expressions, all-level features so one-sample
+/// contexts suffice.
 pred::MixtureModel make_sweep_model(num::Rng& rng, std::size_t num_kernels,
                                     std::size_t dim) {
   pred::MixtureModel m;
@@ -422,52 +416,6 @@ double best_seconds_per_call(int iters, Fn&& fn) {
   return best;
 }
 
-void print_simd_sweep() {
-  constexpr std::size_t kKernels = 64;
-  constexpr std::size_t kDim = 8;
-  const std::size_t batch = g_quick ? 1024 : 4096;
-  const int iters = g_quick ? 20 : 50;
-
-  std::printf("== SIMD kernel sweep: '%s' backend vs scalar reference ==\n",
-              num::simd::backend_name());
-  num::Rng rng(2024);
-  const auto model = make_sweep_model(rng, kKernels, kDim);
-  const auto view = model.view();
-
-  pred::BatchScratch scratch;
-  pred::BatchScratch::resize(scratch.features, kDim * batch);
-  for (auto& f : scratch.features) f = rng.uniform(-0.5, 1.5);
-  std::vector<double> out(batch, 0.0);
-
-  const double scalar_seconds = best_seconds_per_call(iters, [&] {
-    pred::sweep_scalar(view, batch, scratch, out);
-    benchmark::DoNotOptimize(out.data());
-  });
-  const double simd_seconds = best_seconds_per_call(iters, [&] {
-    pred::sweep_simd(view, batch, scratch, out);
-    benchmark::DoNotOptimize(out.data());
-  });
-  const double speedup =
-      simd_seconds > 0.0 ? scalar_seconds / simd_seconds : 0.0;
-  const double scores_per_sec =
-      simd_seconds > 0.0 ? static_cast<double>(batch) / simd_seconds : 0.0;
-  std::printf("  %zu kernels x %zu features x %zu contexts: scalar %.3f ms, "
-              "simd %.3f ms -> %.2fx (%s)\n\n",
-              kKernels, kDim, batch, scalar_seconds * 1e3, simd_seconds * 1e3,
-              speedup, num::simd::backend_name());
-  bench::JsonLine()
-      .field("bench", "simd_kernel_sweep")
-      .field("backend", num::simd::backend_name())
-      .field("kernels", kKernels)
-      .field("dim", kDim)
-      .field("batch", batch)
-      .field("scalar_seconds", scalar_seconds)
-      .field("simd_seconds", simd_seconds)
-      .field("speedup", speedup)
-      .field("scores_per_second", scores_per_sec)
-      .emit();
-}
-
 void print_frozen_serving() {
   constexpr std::size_t kKernels = 64;
   constexpr std::size_t kDim = 8;
@@ -492,7 +440,7 @@ void print_frozen_serving() {
   }
 
   // One-sample contexts (all-level features), scored through the same
-  // vector-capable arena path on both sides.
+  // arena path on both sides.
   std::vector<mon::SymptomSample> samples(batch);
   std::vector<pred::SymptomContext> contexts(batch);
   for (std::size_t i = 0; i < batch; ++i) {
@@ -504,8 +452,6 @@ void print_frozen_serving() {
   }
   std::vector<double> out(batch, 0.0);
   pred::BatchScratch scratch;
-  scratch.kernel = num::simd::vectorized() ? pred::BatchKernel::kSimd
-                                           : pred::BatchKernel::kScalar;
 
   const auto view = model.view();
   const double live_seconds = best_seconds_per_call(iters, [&] {
@@ -526,7 +472,6 @@ void print_frozen_serving() {
               live_rate, frozen_rate, ratio);
   bench::JsonLine()
       .field("bench", "frozen_serving")
-      .field("backend", num::simd::backend_name())
       .field("kernels", kKernels)
       .field("dim", kDim)
       .field("batch", batch)
@@ -576,7 +521,6 @@ int main(int argc, char** argv) {
   print_experiment(preds);
   print_shard_scaling(preds);
   print_obs_overhead(preds);
-  print_simd_sweep();
   print_frozen_serving();
   if (!g_quick) {
     benchmark::Initialize(&argc, argv);

@@ -1,115 +1,10 @@
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-
 namespace pfm::num::simd {
 
-/// Virtual f64 lane width shared by every backend. AVX2 maps it onto one
-/// 256-bit register, NEON onto two 128-bit registers, the portable
-/// backend onto four scalar accumulators — but all three walk the same
-/// per-lane operation sequence (same IEEE ops, same order, contraction
-/// disabled), so the bits a batch produces never depend on the backend.
-/// The frozen-predictor artifact records this constant; a mismatch at
-/// load time is a typed error, never silent divergence.
-inline constexpr std::size_t kLanes = 4;
-
-/// The backend actually serving calls: "avx2", "neon" or "scalar".
-/// Resolved once per process — an AVX2 build running on a CPU without
-/// AVX2 reports (and uses) "scalar".
-const char* backend_name() noexcept;
-
-/// True when backend_name() is a vector ISA (the bench gate only holds
-/// SIMD speedups against builds where this is true).
-bool vectorized() noexcept;
-
-/// y[i] = exp(x[i]) for i < n via a Cephes-style rational approximation
-/// (faithful to within ~1 ULP of libm). Identical bits on every backend;
-/// overflow -> +inf, underflow -> 0 (gradual through the denormal range),
-/// NaN passes through.
-void vexp(const double* x, double* y, std::size_t n) noexcept;
-
-/// y[i] += a * x[i]. The per-element statement matches num::axpy exactly,
-/// so accumulation order — and therefore bits — is unchanged.
-void axpy(double a, const double* x, double* y, std::size_t n) noexcept;
-
-/// Dot product with fixed four-lane accumulation: element i lands in
-/// accumulator i % 4 (the trailing partial block is zero-padded), and the
-/// lanes reduce as (acc0 + acc1) + (acc2 + acc3). Deterministic across
-/// backends, but associated differently from num::dot — callers needing
-/// bit-compatibility with the scalar reference must keep using num::dot.
-double dot(const double* a, const double* b, std::size_t n) noexcept;
-
-/// d2[c] = sum_j (features[j * batch + c] - center[j])^2 for c < batch:
-/// the Eq. 1 distance sweep over SoA feature columns. Per context the
-/// j-accumulation order matches the scalar reference loop, so d2 is
-/// bit-identical to the kOptimized path.
-void squared_distance_soa(const double* features, std::size_t batch,
-                          std::size_t dim, const double* center,
-                          double* d2) noexcept;
-
-/// Eq. 1 kernel activation from squared distances (in place allowed:
-/// act may alias d2). With mixture_kernels:
-///   act[c] = mixture * exp(-d*d / two_w_sq)
-///          + (1 - mixture) / (1 + exp((d - w) / step_scale)),  d = sqrt(d2[c])
-/// else just the Gaussian term. Uses vexp, so activations differ from the
-/// libm-based scalar sweep by the documented ULP bound only.
-void mixture_activation(const double* d2, std::size_t n, double w,
-                        double two_w_sq, double step_scale, double mixture,
-                        bool mixture_kernels, double* act) noexcept;
-
-/// inout[c] = sigmoid(4 * (inout[c] - 0.5)) — the bounded score map of
-/// the UBF raw output, mirroring num::sigmoid's stable two-branch form
-/// lane-wise (with vexp in place of libm exp).
-void score_sigmoid(double* inout, std::size_t n) noexcept;
-
-/// out[c] = sigmoid(0.7 * z_level[c] + 1.1 * z_slope[c]) — the trend
-/// predictor's level+slope combine, vexp-based like score_sigmoid.
-void trend_sigmoid(const double* z_level, const double* z_slope, double* out,
-                   std::size_t n) noexcept;
-
-namespace detail {
-
-// --- shared exp constants (Cephes expd: exp(x) = 2^n * P(r)/Q(r)) ---------
-// Every backend consumes these in the same operation order; simd.cpp's
-// vector code and simd_portable.cpp's scalar lanes must never diverge.
-inline constexpr double kExpOverflow = 709.782712893383996732;   // > -> inf
-inline constexpr double kExpUnderflow = -745.133219101941108420; // < -> 0
-inline constexpr double kLog2E = 1.44269504088896340736;
-inline constexpr double kLn2Hi = 6.93145751953125e-1;
-inline constexpr double kLn2Lo = 1.42860682030941723212e-6;
-inline constexpr double kExpP0 = 1.26177193074810590878e-4;
-inline constexpr double kExpP1 = 3.02994407707441961300e-2;
-inline constexpr double kExpP2 = 9.99999999999999999910e-1;
-inline constexpr double kExpQ0 = 3.00198505138664455042e-6;
-inline constexpr double kExpQ1 = 2.52448340349684104192e-3;
-inline constexpr double kExpQ2 = 2.27265548208155028766e-1;
-inline constexpr double kExpQ3 = 2.00000000000000000005e0;
-
-/// One reference lane of vexp (simd_portable.cpp; compiled without any
-/// vector ISA flags and with contraction off).
-double exp_lane(double x) noexcept;
-
-/// One reference lane of the stable sigmoid(z) using exp_lane.
-double sigmoid_lane(double z) noexcept;
-
-// Portable whole-array implementations (the "scalar" backend, and the
-// runtime fallback of an AVX2 build on a CPU without AVX2).
-void vexp_portable(const double* x, double* y, std::size_t n) noexcept;
-void axpy_portable(double a, const double* x, double* y,
-                   std::size_t n) noexcept;
-double dot_portable(const double* a, const double* b, std::size_t n) noexcept;
-void squared_distance_soa_portable(const double* features, std::size_t batch,
-                                   std::size_t dim, const double* center,
-                                   double* d2) noexcept;
-void mixture_activation_portable(const double* d2, std::size_t n, double w,
-                                 double two_w_sq, double step_scale,
-                                 double mixture, bool mixture_kernels,
-                                 double* act) noexcept;
-void score_sigmoid_portable(double* inout, std::size_t n) noexcept;
-void trend_sigmoid_portable(const double* z_level, const double* z_slope,
-                            double* out, std::size_t n) noexcept;
-
-}  // namespace detail
+/// Backend name of the Eq. 1 scoring sweep. Every predictor scores with
+/// the scalar libm sweep, so this is always "scalar"; it remains only
+/// because benchmark manifests record it.
+inline const char* backend_name() noexcept { return "scalar"; }
 
 }  // namespace pfm::num::simd

@@ -12,8 +12,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "numerics/simd.hpp"
-
 namespace pfm::pred {
 
 // The on-disk format is little-endian; the loader points straight into
@@ -75,7 +73,7 @@ const char* to_string(FrozenError e) noexcept {
     case FrozenError::kTruncated: return "truncated artifact";
     case FrozenError::kBadMagic: return "bad magic";
     case FrozenError::kBadVersion: return "unsupported version";
-    case FrozenError::kLaneMismatch: return "SIMD lane-width mismatch";
+    case FrozenError::kLaneMismatch: return "lane-width mismatch";
     case FrozenError::kChecksumMismatch: return "checksum mismatch";
     case FrozenError::kMalformed: return "malformed artifact";
   }
@@ -112,7 +110,7 @@ FrozenError freeze(const MixtureModel& model, const std::string& path) {
   std::memcpy(h.magic, kMagic, sizeof(kMagic));
   h.version = kVersion;
   h.flags = model.mixture_kernels ? kFlagMixtureKernels : 0u;
-  h.lane_width = static_cast<std::uint32_t>(num::simd::kLanes);
+  h.lane_width = kLaneWidth;
   h.name_len = static_cast<std::uint32_t>(
       std::min<std::size_t>(model.name.size(), sizeof(h.name)));
   std::memcpy(h.name, model.name.data(), h.name_len);
@@ -181,7 +179,7 @@ FrozenPredictor::LoadResult FrozenPredictor::load(const std::string& path) {
     return fail(FrozenError::kBadMagic);
   }
   if (h.version != kVersion) return fail(FrozenError::kBadVersion);
-  if (h.lane_width != num::simd::kLanes) {
+  if (h.lane_width != kLaneWidth) {
     return fail(FrozenError::kLaneMismatch);
   }
   if (h.name_len == 0 || h.name_len > sizeof(h.name) || h.num_kernels == 0 ||

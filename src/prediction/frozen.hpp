@@ -19,12 +19,17 @@ enum class FrozenError : std::uint8_t {
   kTruncated,          ///< file shorter than header + declared payload
   kBadMagic,           ///< not a PFMFROZN artifact
   kBadVersion,         ///< artifact format newer/older than this build
-  kLaneMismatch,       ///< baked for a different SIMD lane width
+  kLaneMismatch,       ///< lane_width field is not kLaneWidth
   kChecksumMismatch,   ///< payload bytes fail the FNV-1a check
   kMalformed,          ///< internally inconsistent counts/sizes
 };
 
 const char* to_string(FrozenError e) noexcept;
+
+/// Value of the header's lane_width field. Version-1 artifacts record the
+/// four-lane width of an earlier vectorized scorer; the format keeps the
+/// field and load() requires this value, so every existing artifact loads.
+inline constexpr std::uint32_t kLaneWidth = 4;
 
 /// On-disk header of a frozen predictor (version 1). Fixed 104-byte
 /// little-endian layout, followed immediately by `payload_bytes` of
@@ -35,7 +40,7 @@ struct FrozenHeader {
   char magic[8];                ///< "PFMFROZN"
   std::uint32_t version;        ///< format version, currently 1
   std::uint32_t flags;          ///< bit 0: mixture_kernels
-  std::uint32_t lane_width;     ///< num::simd::kLanes at freeze time
+  std::uint32_t lane_width;     ///< always kLaneWidth
   std::uint32_t name_len;       ///< valid bytes in name[]
   char name[16];                ///< predictor name, unpadded ("UBF"/"RBF")
   std::uint64_t num_kernels;

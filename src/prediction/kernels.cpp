@@ -6,7 +6,6 @@
 
 #include "numerics/logistic.hpp"
 #include "numerics/matrix.hpp"
-#include "numerics/simd.hpp"
 #include "numerics/stats.hpp"
 
 namespace pfm::pred {
@@ -33,12 +32,17 @@ MixtureModelView MixtureModel::view() const noexcept {
 namespace {
 
 // The gather loop sits inside every arena-backed scorer's hot closure
-// (pfm-analyze hotpath); the throw stays out-of-line. The message matches
+// (pfm-analyze hotpath); the throws stay out-of-line. The messages match
 // UbfPredictor's reference paths so conformance errors stay byte-identical
-// (frozen artifacts are frozen UBF/RBF models, so they share it).
+// (frozen artifacts are frozen UBF/RBF models, so they share them).
 // pfm-cold
 [[noreturn]] void throw_gather_empty_context() {
   throw std::invalid_argument("UbfPredictor: empty context");
+}
+// pfm-cold
+[[noreturn]] void throw_gather_short_sample() {
+  throw std::invalid_argument(
+      "UbfPredictor: sample holds fewer values than the model reads");
 }
 
 }  // namespace
@@ -56,6 +60,9 @@ void gather_features(const MixtureModelView& m,
       throw_gather_empty_context();
     }
     const auto& current = ctx.history.back();
+    if (current.values.size() < m.num_raw_vars) {
+      throw_gather_short_sample();
+    }
     const double t0 = current.time - m.data_window;
     for (std::size_t i = 0; i < dim; ++i) {
       const std::size_t idx = m.selected[i];
@@ -68,6 +75,7 @@ void gather_features(const MixtureModelView& m,
         scratch.v_buf.clear();
         for (const auto& s : ctx.history) {
           if (s.time <= t0) continue;
+          if (j >= s.values.size()) throw_gather_short_sample();
           scratch.t_buf.push_back(s.time);
           scratch.v_buf.push_back(s.values[j]);
         }
@@ -122,40 +130,13 @@ void sweep_scalar(const MixtureModelView& m, std::size_t batch,
 }
 
 // pfm-hot
-void sweep_simd(const MixtureModelView& m, std::size_t batch,
-                BatchScratch& scratch, std::span<double> out) noexcept {
-  // Same structure as sweep_scalar — bias first, kernels in order, one
-  // activation row per kernel — with the per-row arithmetic handed to
-  // num::simd. The distance accumulation keeps the scalar j-order per
-  // context (bit-identical d^2); only the transcendental steps pick up
-  // the vexp-vs-libm ULP difference.
-  BatchScratch::resize(scratch.activations, batch);
-  for (std::size_t c = 0; c < batch; ++c) out[c] = m.weights[m.num_kernels];
-  const std::size_t dim = m.dim;
-  double* act = scratch.activations.data();
-  for (std::size_t i = 0; i < m.num_kernels; ++i) {
-    num::simd::squared_distance_soa(scratch.features.data(), batch, dim,
-                                    m.centers + i * dim, act);
-    num::simd::mixture_activation(act, batch, m.w[i], m.two_w_sq[i],
-                                  m.step_scale[i], m.mixture[i],
-                                  m.mixture_kernels, act);
-    num::simd::axpy(m.weights[i], act, out.data(), batch);
-  }
-  num::simd::score_sigmoid(out.data(), batch);
-}
-
-// pfm-hot
 void score_batch_soa(const MixtureModelView& m,
                      std::span<const SymptomContext> contexts,
                      std::span<double> out, BatchScratch& scratch) {
   const std::size_t batch = contexts.size();
   if (batch == 0) return;
   gather_features(m, contexts, scratch);
-  if (scratch.kernel == BatchKernel::kSimd) {
-    sweep_simd(m, batch, scratch, out);
-  } else {
-    sweep_scalar(m, batch, scratch, out);
-  }
+  sweep_scalar(m, batch, scratch, out);
 }
 
 double score_one(const MixtureModelView& m, const SymptomContext& ctx) {

@@ -63,7 +63,8 @@ struct MixtureModel {
 /// levels read from the newest sample, slopes regressed over the data
 /// window via scratch.t_buf/v_buf, then scaled and clamped exactly like
 /// the reference path. Throws std::invalid_argument (out-of-line,
-/// pfm-cold) on an empty context history.
+/// pfm-cold) on an empty context history, and on a sample that holds
+/// fewer values than the feature it is read for.
 void gather_features(const MixtureModelView& m,
                      std::span<const SymptomContext> contexts,
                      BatchScratch& scratch);
@@ -74,15 +75,8 @@ void gather_features(const MixtureModelView& m,
 void sweep_scalar(const MixtureModelView& m, std::size_t batch,
                   BatchScratch& scratch, std::span<double> out) noexcept;
 
-/// Vectorized sweep: same columns, same per-context accumulation order,
-/// arithmetic routed through num::simd (vexp instead of libm). Scores
-/// agree with sweep_scalar within the documented ULP bound; backend
-/// choice and batch composition never change the bits it produces.
-void sweep_simd(const MixtureModelView& m, std::size_t batch,
-                BatchScratch& scratch, std::span<double> out) noexcept;
-
-/// gather_features + the sweep selected by scratch.kernel. The whole
-/// arena-backed scoring path of both the live and the frozen predictor.
+/// gather_features + sweep_scalar: the whole arena-backed scoring path of
+/// both the live and the frozen predictor.
 void score_batch_soa(const MixtureModelView& m,
                      std::span<const SymptomContext> contexts,
                      std::span<double> out, BatchScratch& scratch);

@@ -32,17 +32,6 @@ struct SymptomContext {
   double now() const { return history.empty() ? 0.0 : history.back().time; }
 };
 
-/// Compute kernel the arena-backed score_batch overloads sweep with.
-/// kScalar is the libm reference sweep (bit-identical to the 2-argument
-/// overloads); kSimd routes the arithmetic through num::simd over the
-/// same SoA columns — scores agree within the documented ULP bound (see
-/// DESIGN.md §13), threshold decisions are pinned identical on the
-/// conformance corpus. The fleet runtime always uses kScalar.
-enum class BatchKernel : std::uint8_t {
-  kScalar = 0,
-  kSimd = 1,
-};
-
 /// Caller-owned scratch arena for batched scoring. The fleet runtime keeps
 /// one per predictor and threads it through every round, so the hot path
 /// allocates nothing once the buffers reached steady-state size — the
@@ -60,9 +49,6 @@ struct BatchScratch {
   std::vector<double> t_buf;        ///< regression abscissae
   std::vector<double> v_buf;        ///< regression ordinates
   std::vector<std::int32_t> ids;    ///< event-id workspace
-
-  /// Sweep selection for SoA-aware predictors (see BatchKernel).
-  BatchKernel kernel = BatchKernel::kScalar;
 
   /// resize() that only ever grows capacity — the arena's footprint is
   /// monotone, which makes "no reallocation after warm-up" observable.

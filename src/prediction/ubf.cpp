@@ -584,9 +584,22 @@ MixtureModel UbfPredictor::export_model() const {
   return m;
 }
 
+namespace {
+
+// A sample read for a feature must hold that feature's raw variable; the
+// message matches gather_features() in kernels.cpp.
+// pfm-cold
+[[noreturn]] void throw_short_sample() {
+  throw std::invalid_argument(
+      "UbfPredictor: sample holds fewer values than the model reads");
+}
+
+}  // namespace
+
 std::vector<double> UbfPredictor::augmented_features(
     const SymptomContext& ctx) const {
   const auto& current = ctx.history.back();
+  if (current.values.size() < num_raw_vars_) throw_short_sample();
   std::vector<double> raw(current.values.begin(), current.values.end());
   if (!config_.include_trend_features) return raw;
   raw.resize(2 * num_raw_vars_, 0.0);
@@ -597,6 +610,7 @@ std::vector<double> UbfPredictor::augmented_features(
     v_buf.clear();
     for (const auto& s : ctx.history) {
       if (s.time <= t0) continue;
+      if (j >= s.values.size()) throw_short_sample();
       t_buf.push_back(s.time);
       v_buf.push_back(s.values[j]);
     }
@@ -646,6 +660,7 @@ void UbfPredictor::score_batch(std::span<const SymptomContext> contexts,
       throw std::invalid_argument("UbfPredictor: empty context");
     }
     const auto& current = ctx.history.back();
+    if (current.values.size() < num_raw_vars_) throw_short_sample();
     const double t0 = current.time - config_.windows.data_window;
     for (std::size_t i = 0; i < selected_.size(); ++i) {
       const std::size_t idx = selected_[i];
@@ -658,6 +673,7 @@ void UbfPredictor::score_batch(std::span<const SymptomContext> contexts,
         v_buf.clear();
         for (const auto& s : ctx.history) {
           if (s.time <= t0) continue;
+          if (j >= s.values.size()) throw_short_sample();
           t_buf.push_back(s.time);
           v_buf.push_back(s.values[j]);
         }
@@ -696,9 +712,7 @@ void UbfPredictor::score_batch(std::span<const SymptomContext> contexts,
   }
   if (!trained_) throw_not_trained();
   // Gather + sweep live in kernels.cpp — the engine shared with the
-  // frozen-artifact path. scratch.kernel picks the sweep: kScalar is
-  // bit-identical to score()/the 2-arg overload, kSimd agrees within the
-  // documented ULP bound (DESIGN.md §13).
+  // frozen-artifact path, bit-identical to score()/the 2-arg overload.
   score_batch_soa(score_view(), contexts, out, scratch);
 }
 

@@ -1,5 +1,5 @@
-// hotpath fixture: the SIMD-sweep + frozen-serve shapes. The batch
-// entry point is hot, its lane helper is reached transitively, and the
+// hotpath fixture: the kernel-sweep + frozen-serve shapes. The batch
+// entry point is hot, its sweep helper is reached transitively, and the
 // only legal throw is hoisted behind a pfm-cold [[noreturn]] helper.
 #include <cstddef>
 #include <stdexcept>

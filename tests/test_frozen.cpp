@@ -8,17 +8,18 @@
 #include <unistd.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "numerics/rng.hpp"
-#include "numerics/simd.hpp"
 #include "obs/export.hpp"
 #include "obs/observability.hpp"
 #include "prediction/frozen.hpp"
@@ -126,7 +127,7 @@ TEST(Frozen, RoundTripPreservesEveryModelBit) {
   EXPECT_EQ(p.name(), "UBF");
   EXPECT_EQ(p.header().num_kernels, model.num_kernels());
   EXPECT_EQ(p.header().dim, model.dim());
-  EXPECT_EQ(p.header().lane_width, num::simd::kLanes);
+  EXPECT_EQ(p.header().lane_width, pred::kLaneWidth);
   EXPECT_EQ(bits(p.windows().data_window), bits(model.windows.data_window));
   EXPECT_EQ(bits(p.windows().lead_time), bits(model.windows.lead_time));
   EXPECT_EQ(bits(p.windows().prediction_window),
@@ -154,20 +155,12 @@ TEST(Frozen, FrozenScoresAreBitIdenticalToTheLiveEngineOnAGrid) {
                                       frozen_scratch);
         for (std::size_t c = 0; c < batch; ++c) {
           ASSERT_EQ(bits(live[c]), bits(frozen[c])) << "context " << c;
+          ASSERT_EQ(bits(live[c]),
+                    bits(pred::score_one(view, corpus.contexts[c])))
+              << "batch sweep vs score_one, context " << c;
           ASSERT_EQ(bits(frozen[c]),
                     bits(loaded.predictor->score(corpus.contexts[c])))
               << "score() vs batch, context " << c;
-        }
-        // The kSimd sweep serves from the same mapped arrays: agreement
-        // with the live kSimd sweep is bit-exact too.
-        pred::BatchScratch simd_live, simd_frozen;
-        simd_live.kernel = pred::BatchKernel::kSimd;
-        simd_frozen.kernel = pred::BatchKernel::kSimd;
-        std::vector<double> a(batch), b(batch);
-        pred::score_batch_soa(view, corpus.contexts, a, simd_live);
-        loaded.predictor->score_batch(corpus.contexts, b, simd_frozen);
-        for (std::size_t c = 0; c < batch; ++c) {
-          ASSERT_EQ(bits(a[c]), bits(b[c])) << "simd context " << c;
         }
       });
 }
@@ -254,7 +247,7 @@ TEST_F(FrozenCorruption, UnsupportedVersionIsTyped) {
 TEST_F(FrozenCorruption, WrongLaneWidthIsTyped) {
   // lane_width sits after magic (8) + version (4) + flags (4).
   auto data = artifact_;
-  const std::uint32_t lanes = num::simd::kLanes * 2;
+  const std::uint32_t lanes = pred::kLaneWidth * 2;
   std::memcpy(data.data() + 16, &lanes, sizeof(lanes));
   EXPECT_EQ(load_mutated(data), pred::FrozenError::kLaneMismatch);
 }
@@ -418,6 +411,90 @@ TEST(Frozen, TrainFreezeServeFleetExportsAreByteIdentical) {
   const auto served = run_fleet(frozen);
   EXPECT_EQ(live.prometheus, served.prometheus);
   EXPECT_EQ(live.json_line, served.json_line);
+}
+
+// --- samples shorter than the model ------------------------------------------
+
+constexpr const char* kShortSampleError =
+    "UbfPredictor: sample holds fewer values than the model reads";
+
+/// Runs score() and both score_batch overloads on `ctx`; each must throw
+/// std::invalid_argument with the short-sample message.
+void expect_short_sample_rejected(const pred::SymptomPredictor& p,
+                                  const pred::SymptomContext& ctx,
+                                  const std::string& what) {
+  std::vector<double> out(1);
+  pred::BatchScratch scratch;
+  const std::vector<std::pair<const char*, std::function<void()>>> paths = {
+      {"score", [&] { p.score(ctx); }},
+      {"score_batch", [&] { p.score_batch({&ctx, 1}, out); }},
+      {"score_batch+arena", [&] { p.score_batch({&ctx, 1}, out, scratch); }},
+  };
+  for (const auto& [name, call] : paths) {
+    try {
+      call();
+      ADD_FAILURE() << what << " " << p.name() << "::" << name
+                    << " scored a short sample";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), kShortSampleError)
+          << what << " " << p.name() << "::" << name;
+    }
+  }
+}
+
+/// Three samples, one minute apart, inside the data window. Each value
+/// vector is sized exactly, so a read past it is a heap overflow.
+std::vector<mon::SymptomSample> window_of(std::size_t newest_values,
+                                          std::size_t older_values) {
+  std::vector<mon::SymptomSample> samples(3);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    samples[i].time = 600.0 + 60.0 * static_cast<double>(i);
+    samples[i].values = std::vector<double>(
+        i + 1 == samples.size() ? newest_values : older_values, 0.5);
+  }
+  return samples;
+}
+
+TEST(Frozen, SamplesShorterThanTheModelAreRejectedOnEveryPath) {
+  // A loaded artifact may serve a node that monitors fewer variables than
+  // the model was trained on: the live and the frozen scorer must both
+  // reject such a context instead of reading past the sample.
+  const auto ubf = trained_ubf();
+  const auto model = ubf->export_model();
+  const auto path = temp_path("short.pfmfrozen");
+  ASSERT_EQ(pred::freeze(model, path), pred::FrozenError::kOk);
+  auto loaded = pred::FrozenPredictor::load(path);
+  ASSERT_EQ(loaded.error, pred::FrozenError::kOk);
+
+  const std::size_t vars = model.num_raw_vars;
+  ASSERT_GE(vars, 2u);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, vars - 1}) {
+    const auto samples = window_of(n, n);
+    pred::SymptomContext ctx;
+    ctx.history = samples;
+    const std::string what = std::to_string(n) + " of " +
+                             std::to_string(vars) + " values:";
+    expect_short_sample_rejected(*ubf, ctx, what);
+    expect_short_sample_rejected(*loaded.predictor, ctx, what);
+  }
+
+  // A full newest sample over a short older one: the slope regression of
+  // a selected trend feature reads the older sample too.
+  auto slope_model = synthetic_model(13, 4, 2);
+  slope_model.selected = {0, 3};  // level of x0, slope of x1
+  const auto slope_path = temp_path("short_slope.pfmfrozen");
+  ASSERT_EQ(pred::freeze(slope_model, slope_path), pred::FrozenError::kOk);
+  auto slope = pred::FrozenPredictor::load(slope_path);
+  ASSERT_EQ(slope.error, pred::FrozenError::kOk);
+  const auto samples = window_of(2, 1);
+  pred::SymptomContext ctx;
+  ctx.history = samples;
+  expect_short_sample_rejected(*slope.predictor, ctx, "short older sample:");
+
+  // Valid input on the same artifact still scores.
+  const auto full = window_of(2, 2);
+  ctx.history = full;
+  EXPECT_TRUE(std::isfinite(slope.predictor->score(ctx)));
 }
 
 }  // namespace

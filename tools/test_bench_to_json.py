@@ -17,9 +17,6 @@ The interesting properties:
   - the quality-overhead gate fires when the online scoreboard arm
     costs >5%, when it resolved no instants (the ratio is then not an
     overhead measurement), or when the arm's row is missing;
-  - the simd-sweep gate fires when a vector backend beats the scalar
-    sweep by less than 2x, skips (passes) on the scalar fallback, and
-    fails when the row is missing entirely;
   - the frozen-serving gate fires when the artifact serving rate drops
     below 0.7x the live engine's, or when the row is missing;
   - benches sharing an output file (the three fleet benches all feed
@@ -102,37 +99,10 @@ class ShardGateTest(unittest.TestCase):
         bench_to_json.check_shard_scaling(shard_rows(2.0, 1.0))
 
 
-def simd_row(speedup, backend="avx2"):
-    return {"bench": "simd_kernel_sweep", "backend": backend,
-            "kernels": 64, "dim": 8, "batch": 4096,
-            "scalar_seconds": speedup, "simd_seconds": 1.0,
-            "speedup": speedup}
-
-
 def frozen_row(ratio):
-    return {"bench": "frozen_serving", "backend": "avx2",
-            "kernels": 64, "dim": 8, "batch": 2048,
+    return {"bench": "frozen_serving", "kernels": 64, "dim": 8, "batch": 2048,
             "live_scores_per_second": 1.0e6,
             "frozen_scores_per_second": 1.0e6 * ratio, "ratio": ratio}
-
-
-class SimdGateTest(unittest.TestCase):
-    def test_vector_backend_at_or_above_floor_passes(self):
-        bench_to_json.check_simd_sweep([simd_row(2.0)])
-        bench_to_json.check_simd_sweep([simd_row(3.7, backend="neon")])
-
-    def test_vector_backend_below_floor_fails(self):
-        with self.assertRaises(SystemExit):
-            bench_to_json.check_simd_sweep([simd_row(1.8)])
-
-    def test_scalar_fallback_skips_the_gate_even_when_slow(self):
-        # Nothing was vectorized, so there is no 2x claim to enforce.
-        bench_to_json.check_simd_sweep([simd_row(0.9, backend="scalar")])
-
-    def test_missing_row_fails(self):
-        with self.assertRaises(SystemExit):
-            bench_to_json.check_simd_sweep(
-                [{"bench": "fleet_throughput", "wall_seconds": 1.0}])
 
 
 class FrozenServingGateTest(unittest.TestCase):
@@ -249,7 +219,6 @@ class MainAtomicityTest(unittest.TestCase):
             json.dumps({"bench": "fleet_throughput", "threads": 8,
                         "wall_seconds": 1.0}),
             *(json.dumps(row) for row in shard_rows(shard_speedup, 1.0)),
-            json.dumps(simd_row(2.4)),
             json.dumps(frozen_row(0.98)),
         ]
 
@@ -315,14 +284,13 @@ class MainAtomicityTest(unittest.TestCase):
             fleet = json.loads((out / "BENCH_fleet.json").read_text())
             # All three fleet benches merged into one array, in BENCHES
             # order: throughput rows, then churn, then quality.
-            self.assertEqual(len(fleet), 9)
+            self.assertEqual(len(fleet), 8)
             self.assertEqual(fleet[0]["bench"], "fleet_throughput")
-            self.assertEqual(fleet[3]["bench"], "simd_kernel_sweep")
-            self.assertEqual(fleet[4]["bench"], "frozen_serving")
-            self.assertEqual(fleet[5]["bench"], "fleet_churn")
-            self.assertEqual(fleet[6]["bench"], "fleet_churn_overhead")
-            self.assertEqual(fleet[7]["bench"], "fleet_quality")
-            self.assertEqual(fleet[8]["bench"], "fleet_quality_overhead")
+            self.assertEqual(fleet[3]["bench"], "frozen_serving")
+            self.assertEqual(fleet[4]["bench"], "fleet_churn")
+            self.assertEqual(fleet[5]["bench"], "fleet_churn_overhead")
+            self.assertEqual(fleet[6]["bench"], "fleet_quality")
+            self.assertEqual(fleet[7]["bench"], "fleet_quality_overhead")
             injection = json.loads((out / "BENCH_injection.json").read_text())
             self.assertEqual(injection[0]["bench"], "injection")
 
