@@ -1,11 +1,12 @@
 // FleetController: the parallel MEA loop must be bit-deterministic in the
-// thread count, degenerate to the single-system controller for a 1-node
+// thread count, reproduce the recorded single-system loop for a 1-node
 // fleet, and aggregate honest telemetry.
 
 #include "runtime/fleet.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -107,31 +108,31 @@ TEST(Fleet, EightNodesAreBitIdenticalAcrossThreadCounts) {
   EXPECT_DOUBLE_EQ(ts.system.availability(), tp.system.availability());
 }
 
-// A 1-node fleet is the standalone MEA controller: node 0 keeps the base
-// seed, and the dense single-shard tick structure reduces to the single
-// loop.
+// A 1-node fleet is the single-system MEA loop: node 0 keeps the base
+// seed, and the dense single-shard tick structure reduces to one loop
+// over one system. The expected numbers were recorded from the former
+// standalone single-system controller on the same scenario.
 TEST(Fleet, SingleNodeFleetMatchesStandaloneController) {
   auto fleet = make_fleet(1, 2);
   fleet->run();
 
-  const auto cfg = fleet_config();
-  telecom::ScpSimulator sim(cfg);
-  runtime::ScpManagedSystem system(sim);
-  core::MeaConfig mc;
-  mc.warning_threshold = 0.72;
-  mc.action_cooldown = 600.0;
-  core::MeaController mea(system, mc);
-  const auto idx = *sim.trace().schema().index("mem_pressure_max");
-  mea.add_symptom_predictor(std::make_shared<PressurePredictor>(idx));
-  mea.add_action(std::make_unique<act::StateCleanupAction>(0.70));
-  mea.add_action(std::make_unique<act::PreparedRepairAction>(1800.0));
-  mea.run();
+  const auto s = fleet->node(0).system_stats();
+  EXPECT_EQ(s.total_requests, 2025076);
+  EXPECT_EQ(s.violations, 0);
+  EXPECT_EQ(s.failures, 0);
+  EXPECT_DOUBLE_EQ(s.downtime, 0.0);
+  EXPECT_EQ(s.shed_requests, 0);
+  EXPECT_EQ(s.preventive_restarts, 4);
+  EXPECT_EQ(s.prepared_repairs, 0);
+  EXPECT_EQ(s.unprepared_repairs, 0);
+  EXPECT_DOUBLE_EQ(s.simulated, 43200.0);
 
-  expect_same_stats(fleet->node(0).system_stats(), system.system_stats(), 0);
-  EXPECT_EQ(fleet->node_mea_stats(0).evaluations, mea.stats().evaluations);
-  EXPECT_EQ(fleet->node_mea_stats(0).warnings, mea.stats().warnings);
-  EXPECT_EQ(fleet->node_mea_stats(0).actions_by_kind,
-            mea.stats().actions_by_kind);
+  const auto& m = fleet->node_mea_stats(0);
+  EXPECT_EQ(m.evaluations, 720u);
+  EXPECT_EQ(m.warnings, 4u);
+  const std::array<std::size_t, act::kNumActionKinds> actions = {4, 0, 0, 4,
+                                                                 0};
+  EXPECT_EQ(m.actions_by_kind, actions);
 }
 
 TEST(Fleet, TelemetryAggregatesTheFleet) {
