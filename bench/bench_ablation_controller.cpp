@@ -10,8 +10,9 @@
 
 #include <cstdio>
 #include <memory>
+#include <vector>
 
-#include "core/mea.hpp"
+#include "runtime/fleet.hpp"
 #include "runtime/scp_system.hpp"
 
 namespace {
@@ -33,6 +34,17 @@ class PressurePredictor final : public pred::SymptomPredictor {
   std::size_t index_;
 };
 
+/// The MEA loop over `sim` alone: a one-node fleet borrowing the
+/// simulator, so its statistics stay readable after the run.
+std::unique_ptr<runtime::FleetController> one_node(telecom::ScpSimulator& sim,
+                                                   const core::MeaConfig& mc) {
+  std::vector<std::unique_ptr<core::ManagedSystem>> nodes;
+  nodes.push_back(std::make_unique<runtime::ScpManagedSystem>(sim));
+  runtime::FleetConfig fc;
+  fc.mea = mc;
+  return std::make_unique<runtime::FleetController>(std::move(nodes), fc);
+}
+
 telecom::SimConfig leaky_config() {
   telecom::SimConfig cfg;
   cfg.seed = 77;
@@ -52,17 +64,17 @@ void run_with_cooldown(double cooldown) {
   mc.warning_threshold = 0.70;
   mc.action_cooldown = cooldown;
   mc.enable_minimization = false;  // isolate the avoidance loop
-  runtime::ScpManagedSystem system(sim);
-  core::MeaController mea(system, mc);
-  mea.add_symptom_predictor(std::make_shared<PressurePredictor>(idx));
-  mea.add_action(std::make_unique<act::StateCleanupAction>(0.68));
-  mea.run();
+  auto mea = one_node(sim, mc);
+  mea->add_symptom_predictor(std::make_shared<PressurePredictor>(idx));
+  mea->add_action(
+      [] { return std::make_unique<act::StateCleanupAction>(0.68); });
+  mea->run();
 
   std::printf("  %-12.0f %-10.6f %-9lld %-10lld %-9zu\n", cooldown,
               sim.stats().availability(),
               static_cast<long long>(sim.stats().failures),
               static_cast<long long>(sim.stats().preventive_restarts),
-              mea.stats().warnings);
+              mea->node_mea_stats(0).warnings);
 }
 
 void print_experiment() {
@@ -89,13 +101,11 @@ void BM_ControllerDay(benchmark::State& state) {
     cfg.duration = 86400.0;
     telecom::ScpSimulator sim(cfg);
     const auto idx = *sim.trace().schema().index("mem_pressure_max");
-    runtime::ScpManagedSystem system(sim);
-    core::MeaConfig mc;
-    core::MeaController mea(system, mc);
-    mea.add_symptom_predictor(std::make_shared<PressurePredictor>(idx));
-    mea.add_action(std::make_unique<act::StateCleanupAction>());
-    mea.run();
-    benchmark::DoNotOptimize(mea.stats().evaluations);
+    auto mea = one_node(sim, core::MeaConfig{});
+    mea->add_symptom_predictor(std::make_shared<PressurePredictor>(idx));
+    mea->add_action([] { return std::make_unique<act::StateCleanupAction>(); });
+    mea->run();
+    benchmark::DoNotOptimize(mea->node_mea_stats(0).evaluations);
   }
 }
 BENCHMARK(BM_ControllerDay)->Unit(benchmark::kMillisecond)->Iterations(1);

@@ -1,19 +1,20 @@
-// E9 — Table 1 end-to-end: the MEA loop on the simulated SCP under the
-// four countermeasure strategies (nothing / downtime minimization only /
-// downtime avoidance only / both), with UBF + HSMM predictors trained on a
-// separate trace. The measured availability ordering realizes the paper's
-// Table 1 behavior matrix.
+// E9 — Table 1 end-to-end: the MEA loop (a one-node fleet) on the
+// simulated SCP under the four countermeasure strategies (nothing /
+// downtime minimization only / downtime avoidance only / both), with
+// UBF + HSMM predictors trained on a separate trace. The measured
+// availability ordering realizes the paper's Table 1 behavior matrix.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "bench_common.hpp"
-#include "core/mea.hpp"
 #include "prediction/calibration.hpp"
 #include "prediction/hsmm.hpp"
 #include "prediction/ubf.hpp"
+#include "runtime/fleet.hpp"
 #include "runtime/scp_system.hpp"
 
 namespace {
@@ -79,26 +80,29 @@ StrategyResult run_strategy(const char* name, const TrainedPredictors& preds,
   cfg.seed = seed;
   cfg.duration = 14.0 * 86400.0;
   telecom::ScpSimulator sim(cfg);
-  runtime::ScpManagedSystem system(sim);
+  std::vector<std::unique_ptr<core::ManagedSystem>> nodes;
+  nodes.push_back(std::make_unique<runtime::ScpManagedSystem>(sim));
 
-  core::MeaConfig mc;
-  mc.windows = bench::case_study_windows();
-  mc.evaluation_interval = 60.0;
-  mc.warning_threshold = 0.5;  // calibrated predictors: 0.5 = their max-F
-  mc.enable_avoidance = avoidance;
-  mc.enable_minimization = minimization;
+  runtime::FleetConfig fc;
+  fc.mea.windows = bench::case_study_windows();
+  fc.mea.evaluation_interval = 60.0;
+  fc.mea.warning_threshold = 0.5;  // calibrated predictors: 0.5 = max-F
+  fc.mea.enable_avoidance = avoidance;
+  fc.mea.enable_minimization = minimization;
 
-  core::MeaController mea(system, mc);
+  runtime::FleetController mea(std::move(nodes), fc);
   if (avoidance || minimization) {
     mea.add_symptom_predictor(preds.symptom);
     mea.add_event_predictor(preds.event);
-    mea.add_action(std::make_unique<act::StateCleanupAction>());
-    mea.add_action(std::make_unique<act::PreventiveFailoverAction>());
-    mea.add_action(std::make_unique<act::LoadLoweringAction>());
-    mea.add_action(std::make_unique<act::PreparedRepairAction>(900.0));
+    mea.add_action([] { return std::make_unique<act::StateCleanupAction>(); });
+    mea.add_action(
+        [] { return std::make_unique<act::PreventiveFailoverAction>(); });
+    mea.add_action([] { return std::make_unique<act::LoadLoweringAction>(); });
+    mea.add_action(
+        [] { return std::make_unique<act::PreparedRepairAction>(900.0); });
   }
   mea.run();
-  return {name, sim.stats(), mea.stats()};
+  return {name, sim.stats(), mea.node_mea_stats(0)};
 }
 
 void print_experiment() {
@@ -125,34 +129,12 @@ void print_experiment() {
               "strategy >= none.)\n\n");
 }
 
-void BM_MeaEvaluationStep(benchmark::State& state) {
-  telecom::SimConfig cfg;
-  cfg.seed = 3;
-  cfg.duration = 3600.0;
-  telecom::ScpSimulator sim(cfg);
-  sim.step_to(1800.0);
-  runtime::ScpManagedSystem system(sim);
-  core::MeaConfig mc;
-  core::MeaController mea(system, mc);
-  // A cheap stand-in predictor isolates controller overhead.
-  class Flat final : public pred::SymptomPredictor {
-   public:
-    std::string name() const override { return "flat"; }
-    void train(const mon::MonitoringDataset&) override {}
-    double score(const pred::SymptomContext&) const override { return 0.1; }
-  };
-  mea.add_symptom_predictor(std::make_shared<Flat>());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mea.evaluate_now());
-  }
-}
-BENCHMARK(BM_MeaEvaluationStep);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_experiment();
+  // No microbenchmarks here — the strategies are whole-run experiments —
+  // so google-benchmark is initialized only to honour its standard flags.
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  print_experiment();
   return 0;
 }

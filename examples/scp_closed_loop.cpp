@@ -7,12 +7,13 @@
 
 #include <cstdio>
 #include <memory>
+#include <vector>
 
-#include "core/mea.hpp"
 #include "prediction/calibration.hpp"
 #include "prediction/evaluate.hpp"
 #include "prediction/hsmm.hpp"
 #include "prediction/ubf.hpp"
+#include "runtime/fleet.hpp"
 #include "runtime/scp_system.hpp"
 
 int main() {
@@ -59,24 +60,29 @@ int main() {
   telecom::ScpSimulator unmanaged(run_cfg);
   unmanaged.run();
 
+  // The MEA loop over one system is a one-node fleet; the node borrows
+  // `managed`, so the simulator's own statistics stay readable.
   telecom::ScpSimulator managed(run_cfg);
-  runtime::ScpManagedSystem managed_system(managed);
-  core::MeaConfig mea_cfg;
-  mea_cfg.windows = windows;
-  mea_cfg.warning_threshold = 0.5;
-  core::MeaController mea(managed_system, mea_cfg);
+  std::vector<std::unique_ptr<core::ManagedSystem>> nodes;
+  nodes.push_back(std::make_unique<runtime::ScpManagedSystem>(managed));
+  runtime::FleetConfig fleet_cfg;
+  fleet_cfg.mea.windows = windows;
+  fleet_cfg.mea.warning_threshold = 0.5;
+  runtime::FleetController mea(std::move(nodes), fleet_cfg);
   mea.add_symptom_predictor(
       std::make_shared<pred::CalibratedSymptomPredictor>(
           ubf, ubf_report.threshold));
   mea.add_event_predictor(std::make_shared<pred::CalibratedEventPredictor>(
       hsmm, hsmm_report.threshold));
-  mea.add_action(std::make_unique<act::StateCleanupAction>());
-  mea.add_action(std::make_unique<act::PreventiveFailoverAction>());
-  mea.add_action(std::make_unique<act::LoadLoweringAction>());
-  mea.add_action(std::make_unique<act::PreparedRepairAction>(900.0));
+  mea.add_action([] { return std::make_unique<act::StateCleanupAction>(); });
+  mea.add_action(
+      [] { return std::make_unique<act::PreventiveFailoverAction>(); });
+  mea.add_action([] { return std::make_unique<act::LoadLoweringAction>(); });
+  mea.add_action(
+      [] { return std::make_unique<act::PreparedRepairAction>(900.0); });
   std::printf("\nrunning the managed system (MEA loop, evaluation every "
               "%.0f s)...\n",
-              mea_cfg.evaluation_interval);
+              fleet_cfg.mea.evaluation_interval);
   mea.run();
 
   // ---- compare -------------------------------------------------------------
@@ -89,13 +95,14 @@ int main() {
   std::printf("\nresults over %.0f days:\n", run_cfg.duration / 86400.0);
   print_stats("unmanaged", unmanaged.stats());
   print_stats("managed", managed.stats());
+  const auto& activity = mea.node_mea_stats(0);
   std::printf("\nMEA activity: %zu evaluations, %zu warnings; actions:\n",
-              mea.stats().evaluations, mea.stats().warnings);
+              activity.evaluations, activity.warnings);
   for (std::size_t k = 0; k < act::kNumActionKinds; ++k) {
-    if (mea.stats().actions_by_kind[k] == 0) continue;
+    if (activity.actions_by_kind[k] == 0) continue;
     std::printf("  %-20s %zu\n",
                 act::to_string(static_cast<act::ActionKind>(k)).c_str(),
-                mea.stats().actions_by_kind[k]);
+                activity.actions_by_kind[k]);
   }
   const double u_managed = 1.0 - managed.stats().availability();
   const double u_plain = 1.0 - unmanaged.stats().availability();

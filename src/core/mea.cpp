@@ -142,100 +142,4 @@ void ActEngine::act(ManagedSystem& system, double score,
   }
 }
 
-MeaController::MeaController(ManagedSystem& system, MeaConfig config)
-    : system_(&system), config_(std::move(config)) {
-  config_.windows.validate();
-  if (config_.evaluation_interval <= 0.0) {
-    throw std::invalid_argument("MeaController: evaluation interval > 0");
-  }
-  if (config_.warning_threshold < 0.0 || config_.warning_threshold > 1.0) {
-    throw std::invalid_argument("MeaController: threshold in [0,1]");
-  }
-}
-
-void MeaController::add_symptom_predictor(
-    std::shared_ptr<const pred::SymptomPredictor> p) {
-  if (!p) throw std::invalid_argument("MeaController: null predictor");
-  symptom_.push_back(std::move(p));
-}
-
-void MeaController::add_event_predictor(
-    std::shared_ptr<const pred::EventPredictor> p) {
-  if (!p) throw std::invalid_argument("MeaController: null predictor");
-  event_.push_back(std::move(p));
-}
-
-void MeaController::add_action(std::unique_ptr<act::Action> action) {
-  engine_.add_action(std::move(action));
-}
-
-void MeaController::set_observability(obs::Observability* hub) {
-  obs_ = hub;
-  engine_.set_observability(hub, obs::kFleetTrack);
-  if (hub == nullptr) {
-    evaluations_total_ = nullptr;
-    warnings_total_ = nullptr;
-    return;
-  }
-  evaluations_total_ = &hub->metrics().counter("pfm_evaluations_total");
-  warnings_total_ = &hub->metrics().counter("pfm_warnings_total");
-}
-
-double MeaController::evaluate_now(std::size_t* sanitized) const {
-  double combined = 0.0;
-  // A predictor may misbehave and emit NaN/inf (e.g. a numerically
-  // degenerate model); a non-finite score must neither poison the max
-  // reduce (+inf would warn forever) nor silently vanish — it is excluded
-  // and counted.
-  auto fold = [&](double score) {
-    if (!std::isfinite(score)) {
-      if (sanitized != nullptr) ++*sanitized;
-      return;
-    }
-    combined = std::max(combined, score);
-  };
-
-  if (!symptom_.empty() && !system_->trace().samples().empty()) {
-    auto ctx = system_->symptom_context(config_.context_samples);
-    // Evaluation identity for keyed fault-injection streams: origin 0
-    // (single system), ordinal = this evaluation's count.
-    ctx.ordinal = stats_.evaluations;
-    for (const auto& p : symptom_) fold(p->score(ctx));
-  }
-  if (!event_.empty()) {
-    auto seq = system_->error_sequence(config_.windows.data_window);
-    seq.ordinal = stats_.evaluations;
-    for (const auto& p : event_) fold(p->score(seq));
-  }
-  return combined;
-}
-
-void MeaController::run_until(double t) {
-  obs::TraceRecorder* tracer = obs_ != nullptr ? obs_->tracer() : nullptr;
-  while (!system_->finished() && system_->now() < t) {
-    system_->step_to(
-        std::min(system_->now() + config_.evaluation_interval, t));
-    ++stats_.evaluations;
-    if (evaluations_total_ != nullptr) evaluations_total_->inc();
-    double score = 0.0;
-    {
-      obs::ScopedSpan span(tracer, obs::SpanKind::kEvaluation,
-                           obs::kFleetTrack, system_->now());
-      score = evaluate_now(&stats_.scores_sanitized);
-      // Scores live in [0,1]; micro-units keep the span payload integral.
-      span.set_arg(static_cast<std::int64_t>(score * 1e6));
-    }
-    if (score >= config_.warning_threshold) {
-      ++stats_.warnings;
-      if (warnings_total_ != nullptr) warnings_total_->inc();
-      obs::record_instant(tracer, obs::SpanKind::kWarning, obs::kFleetTrack,
-                          system_->now(), 0,
-                          static_cast<std::int64_t>(score * 1e6));
-      engine_.act(*system_, score, config_, stats_);
-    }
-  }
-}
-
-void MeaController::run() { run_until(system_->horizon()); }
-
 }  // namespace pfm::core

@@ -56,7 +56,6 @@ struct MeaStats {
   std::size_t evaluations = 0;
   std::size_t warnings = 0;
   std::array<std::size_t, act::kNumActionKinds> actions_by_kind{};
-  std::size_t scores_sanitized = 0;   ///< non-finite scores excluded
   std::size_t action_faults = 0;      ///< execution attempts that threw
   std::size_t action_retries = 0;     ///< re-attempts after a failed try
   std::size_t actions_abandoned = 0;  ///< executions that exhausted retries
@@ -73,7 +72,6 @@ struct MeaStats {
     for (std::size_t k = 0; k < actions_by_kind.size(); ++k) {
       actions_by_kind[k] += other.actions_by_kind[k];
     }
-    scores_sanitized += other.scores_sanitized;
     action_faults += other.action_faults;
     action_retries += other.action_retries;
     actions_abandoned += other.actions_abandoned;
@@ -83,8 +81,8 @@ struct MeaStats {
 
 /// The Act component (Fig. 1): owns the registered countermeasures, the
 /// per-kind cooldown clocks and the objective-function selection policy.
-/// Extracted from MeaController so a fleet controller can keep one engine
-/// per managed node while sharing predictors across the fleet.
+/// The MEA loop (runtime::FleetController) keeps one engine per managed
+/// node while sharing predictors across the fleet.
 class ActEngine {
  public:
   ActEngine() {
@@ -147,60 +145,6 @@ class ActEngine {
   std::array<double, act::kNumActionKinds> last_action_time_{};
   std::array<double, act::kNumActionKinds> backoff_until_{};
   std::array<std::size_t, act::kNumActionKinds> abandoned_streak_{};
-};
-
-/// The Monitor-Evaluate-Act control loop (Fig. 1) driving one managed
-/// system:
-///  - Monitor: the system continuously appends symptom samples and error
-///    events to its trace;
-///  - Evaluate: at each evaluation instant the registered (pre-trained)
-///    predictors score the current context; the combined score is their
-///    maximum (a warning from any layer is a warning);
-///  - Act: on a warning, downtime minimization always prepares repair,
-///    and the objective-function selector picks the best applicable
-///    avoidance action, subject to per-kind cooldowns.
-class MeaController {
- public:
-  MeaController(ManagedSystem& system, MeaConfig config);
-
-  /// Registers a trained symptom predictor (one per architecture layer).
-  void add_symptom_predictor(std::shared_ptr<const pred::SymptomPredictor> p);
-
-  /// Registers a trained event predictor.
-  void add_event_predictor(std::shared_ptr<const pred::EventPredictor> p);
-
-  /// Registers a countermeasure.
-  void add_action(std::unique_ptr<act::Action> action);
-
-  /// Runs the loop until the managed system's horizon.
-  void run();
-
-  /// Runs until time `t`.
-  void run_until(double t);
-
-  const MeaStats& stats() const noexcept { return stats_; }
-
-  /// Combined failure-proneness at the current instant (exposed for tests
-  /// and examples). Non-finite predictor scores are excluded from the max
-  /// reduce; when `sanitized` is non-null it is incremented per excluded
-  /// score.
-  double evaluate_now(std::size_t* sanitized = nullptr) const;
-
-  /// Attaches the loop (and its Act engine) to an observability hub:
-  /// evaluations and warnings become counters, each evaluation records a
-  /// kEvaluation span and each warning a kWarning span on track 0.
-  void set_observability(obs::Observability* hub);
-
- private:
-  obs::Observability* obs_ = nullptr;
-  obs::Counter* evaluations_total_ = nullptr;
-  obs::Counter* warnings_total_ = nullptr;
-  ManagedSystem* system_;
-  MeaConfig config_;
-  std::vector<std::shared_ptr<const pred::SymptomPredictor>> symptom_;
-  std::vector<std::shared_ptr<const pred::EventPredictor>> event_;
-  ActEngine engine_;
-  MeaStats stats_;
 };
 
 }  // namespace pfm::core

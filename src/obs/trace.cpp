@@ -12,7 +12,6 @@ const char* to_string(SpanKind kind) noexcept {
     case SpanKind::kActStage: return "act_stage";
     case SpanKind::kNodeStep: return "node_step";
     case SpanKind::kScoreBatch: return "score_batch";
-    case SpanKind::kEvaluation: return "evaluation";
     case SpanKind::kWarning: return "warning";
     case SpanKind::kActionExecute: return "action_execute";
     case SpanKind::kActionRetry: return "action_retry";

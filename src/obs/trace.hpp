@@ -34,14 +34,13 @@
 namespace pfm::obs {
 
 /// What a span measures. Values are part of the deterministic sort key;
-/// append new kinds at the end.
+/// append new kinds at the end and never renumber (5 is retired).
 enum class SpanKind : std::uint8_t {
   kMonitorStage = 0,   ///< fleet Monitor stage of one round
   kEvaluateStage = 1,  ///< fleet Evaluate stage of one round
   kActStage = 2,       ///< fleet Act stage of one round
   kNodeStep = 3,       ///< one node advancing one evaluation interval
   kScoreBatch = 4,     ///< one predictor scoring the fleet
-  kEvaluation = 5,     ///< single-system MeaController evaluation
   kWarning = 6,        ///< combined score crossed the warning threshold
   kActionExecute = 7,  ///< countermeasure execution attempt (sub = attempt)
   kActionRetry = 8,    ///< re-attempt after a failed execution try

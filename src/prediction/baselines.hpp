@@ -47,11 +47,10 @@ class TrendPredictor final : public SymptomPredictor {
   std::string name() const override { return "Trend"; }
   void train(const mon::MonitoringDataset& data) override;
   double score(const SymptomContext& context) const override;
-  /// Vectorized: reuses the regression buffers across the batch.
-  void score_batch(std::span<const SymptomContext> contexts,
-                   std::span<double> out) const override;
-  /// Arena-backed: same results, regression buffers live in the caller's
-  /// scratch so repeated rounds allocate nothing.
+  /// The two-argument overload is the base loop over score().
+  using SymptomPredictor::score_batch;
+  /// Arena-backed: same results as score(), regression buffers live in
+  /// the caller's scratch so repeated rounds allocate nothing.
   void score_batch(std::span<const SymptomContext> contexts,
                    std::span<double> out,
                    BatchScratch& scratch) const override;
@@ -134,10 +133,8 @@ class EventsetPredictor final : public EventPredictor {
   void train(std::span<const mon::ErrorSequence> failure_sequences,
              std::span<const mon::ErrorSequence> nonfailure_sequences) override;
   double score(const mon::ErrorSequence& sequence) const override;
-  /// Vectorized: reuses one event-id set across the batch instead of
-  /// building a fresh std::set per sequence.
-  void score_batch(std::span<const mon::ErrorSequence> sequences,
-                   std::span<double> out) const override;
+  /// The two-argument overload is the base loop over score().
+  using EventPredictor::score_batch;
   /// Arena-backed: the event-id membership structure becomes a sorted
   /// vector in the caller's scratch (node-free, reused across rounds);
   /// set-containment answers — and therefore scores — are identical.

@@ -87,8 +87,8 @@ class FrozenPredictor final : public SymptomPredictor {
   void train(const mon::MonitoringDataset& data) override;
 
   double score(const SymptomContext& context) const override;
-  void score_batch(std::span<const SymptomContext> contexts,
-                   std::span<double> out) const override;
+  /// The two-argument overload is the base loop over score().
+  using SymptomPredictor::score_batch;
   void score_batch(std::span<const SymptomContext> contexts,
                    std::span<double> out,
                    BatchScratch& scratch) const override;

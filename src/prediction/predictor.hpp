@@ -21,8 +21,8 @@ struct SymptomContext {
   std::span<const double> past_failures;
 
   /// Identity of this evaluation, stamped by the controller that built
-  /// the context: `origin` is the global node index (0 for single-system
-  /// controllers) and `ordinal` that node's evaluation count. Predictors
+  /// the context: `origin` is the global node index and `ordinal` that
+  /// node's evaluation count. Predictors
   /// ignore both; fault-injection wrappers key their per-item decision
   /// streams on (origin, ordinal), so injected rolls stay bit-exact no
   /// matter how the fleet is sharded or batched.
@@ -75,12 +75,12 @@ struct BatchScratch {
 /// controlled by a threshold), so absolute calibration is not required —
 /// only ordering matters.
 ///
-/// Fault model: callers do not trust scores blindly. The MEA/fleet
-/// controllers exclude non-finite scores from the warning reduce (counted
-/// as sanitized), and the fleet runtime trips a predictor that throws or
-/// emits non-finite scores repeatedly out of the ensemble via a circuit
-/// breaker. A predictor should still strive to return finite values —
-/// degraded mode costs prediction coverage.
+/// Fault model: callers do not trust scores blindly. The fleet controller
+/// excludes non-finite scores from the warning reduce (counted as
+/// sanitized), and trips a predictor that throws or emits non-finite
+/// scores repeatedly out of the ensemble via a circuit breaker. A
+/// predictor should still strive to return finite values — degraded mode
+/// costs prediction coverage.
 class SymptomPredictor {
  public:
   virtual ~SymptomPredictor() = default;
@@ -97,18 +97,19 @@ class SymptomPredictor {
 
   /// Scores many contexts in one call — the fleet runtime's hot path
   /// (one virtual call per predictor instead of one per node×layer).
-  /// `out[i]` receives score(contexts[i]); the default loops, overrides
-  /// vectorize by hoisting per-call setup and reusing scratch buffers.
+  /// `out[i]` receives score(contexts[i]); the default loops over score()
+  /// and is the reference every batched path reproduces bit for bit.
+  /// Overrides hoist per-call setup.
   /// Must be safe to call concurrently on disjoint spans.
   /// Throws std::invalid_argument when the span sizes differ.
   virtual void score_batch(std::span<const SymptomContext> contexts,
                            std::span<double> out) const;
 
-  /// Arena-backed batched scoring: identical results to the two-argument
-  /// overload (the conformance suite pins both to the same bits), but all
-  /// per-call buffers live in `scratch` and are reused across rounds. The
-  /// default discards the arena and forwards; SoA-aware predictors
-  /// override. Concurrent calls must use disjoint arenas.
+  /// Arena-backed batched scoring: identical results to score() (the
+  /// conformance suite pins the bits), but all per-call buffers live in
+  /// `scratch` and are reused across rounds. The default discards the
+  /// arena and forwards to the two-argument overload; SoA-aware
+  /// predictors override. Concurrent calls must use disjoint arenas.
   virtual void score_batch(std::span<const SymptomContext> contexts,
                            std::span<double> out, BatchScratch& scratch) const;
 };
@@ -136,8 +137,8 @@ class EventPredictor {
                            std::span<double> out) const;
 
   /// Arena-backed batched scoring; same contract as the SymptomPredictor
-  /// overload (bit-identical to the two-argument path, disjoint arenas
-  /// for concurrent calls). The default forwards.
+  /// overload (bit-identical to score(), disjoint arenas for concurrent
+  /// calls). The default forwards.
   virtual void score_batch(std::span<const mon::ErrorSequence> sequences,
                            std::span<double> out, BatchScratch& scratch) const;
 };

@@ -113,8 +113,8 @@ class ScpManagedSystem final : public core::ManagedSystem {
 
 /// Statistically independent per-node RNG stream: splitmix64 finalizer
 /// over (base_seed, node_index), so neighboring node indices land far
-/// apart in seed space. Node 0 keeps base_seed — a 1-node fleet is
-/// bit-identical to a standalone simulator with the same config.
+/// apart in seed space. Node 0 keeps base_seed — a 1-node fleet runs the
+/// same simulation as one node borrowing a simulator with the same config.
 std::uint64_t derive_node_seed(std::uint64_t base_seed,
                                std::size_t node_index) noexcept;
 

@@ -46,7 +46,7 @@ void ThreadPool::run_shards(std::size_t first_shard) {
       try {
         (*fn_)(i);
       } catch (...) {
-        (*errors_)[i] = std::current_exception();  // slot i is this task's own
+        errors_[i] = std::current_exception();  // slot i is this task's own
       }
     }
   }
@@ -84,12 +84,11 @@ void ThreadPool::worker_loop(std::size_t shard) {
   }
 }
 
-void ThreadPool::publish_and_run(std::size_t n,
-                                 const std::function<void(std::size_t)>& fn,
-                                 std::vector<std::exception_ptr>& errors) {
+std::exception_ptr ThreadPool::publish_and_run(
+    std::size_t n, const std::function<void(std::size_t)>& fn) {
   const std::size_t shards = workers_.size() + 1;
   fn_ = &fn;
-  errors_ = &errors;
+  errors_.assign(n, nullptr);
   for (std::size_t s = 0; s < shards; ++s) {
     shard_next_[s].store(n * s / shards, std::memory_order_relaxed);
     shard_end_[s] = n * (s + 1) / shards;
@@ -115,14 +114,16 @@ void ThreadPool::publish_and_run(std::size_t n,
     }
   }
   fn_ = nullptr;
-  errors_ = nullptr;
+  for (const auto& e : errors_) {
+    if (e) return e;
+  }
+  return nullptr;
 }
 
-void ThreadPool::parallel_for_captured(
-    std::size_t n, const std::function<void(std::size_t)>& fn,
-    std::vector<std::exception_ptr>& errors) {
-  errors.assign(n, nullptr);
+void ThreadPool::parallel_for(std::size_t n,
+                              const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
+  std::exception_ptr first;
   // Inline when distribution cannot help: no workers, a single index, or
   // fewer hardware threads than it takes to overlap anything — waking
   // workers that time-slice with the caller only adds handshake churn.
@@ -132,20 +133,13 @@ void ThreadPool::parallel_for_captured(
       try {
         fn(i);
       } catch (...) {
-        errors[i] = std::current_exception();
+        if (!first) first = std::current_exception();
       }
     }
-    return;
+  } else {
+    first = publish_and_run(n, fn);
   }
-  publish_and_run(n, fn, errors);
-}
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  parallel_for_captured(n, fn, scratch_errors_);
-  for (const auto& e : scratch_errors_) {
-    if (e) std::rethrow_exception(e);
-  }
+  if (first) std::rethrow_exception(first);
 }
 
 }  // namespace pfm::runtime

@@ -49,14 +49,6 @@ class ThreadPool {
   /// lowest-index exception is rethrown here after the loop drains.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Like parallel_for, but failures never propagate: `errors` is resized
-  /// to n and errors[i] receives the exception fn(i) threw (null when it
-  /// succeeded). Every index runs, so a caller can map each failure back
-  /// to the task that raised it.
-  void parallel_for_captured(std::size_t n,
-                             const std::function<void(std::size_t)>& fn,
-                             std::vector<std::exception_ptr>& errors);
-
  private:
   /// Busy-wait budget (loop iterations) before a worker goes to sleep,
   /// and before the caller blocks on batch completion.
@@ -67,9 +59,10 @@ class ThreadPool {
   // *before* the release-store on batch_gen_, and every worker access
   // happens after the matching acquire-load, so the happens-before edge
   // the mu_ annotation documents is carried by the generation counter
-  // instead of the lock.
-  void publish_and_run(std::size_t n, const std::function<void(std::size_t)>& fn,
-                       std::vector<std::exception_ptr>& errors)
+  // instead of the lock. Returns the lowest-index exception of the batch
+  // (null when every task succeeded).
+  std::exception_ptr publish_and_run(
+      std::size_t n, const std::function<void(std::size_t)>& fn)
       PFM_NO_THREAD_SAFETY_ANALYSIS;
   // Drains the caller's/worker's own shard queue, then steals from the
   // neighbouring shards until the whole index space is exhausted.
@@ -86,10 +79,9 @@ class ThreadPool {
   bool stop_ PFM_GUARDED_BY(mu_) = false;
 
   // Current batch, written by publish_and_run before workers are woken.
-  // Exceptions land in (*errors_)[i] — disjoint slots, no lock.
+  // Exceptions land in errors_[i] — disjoint slots, no lock.
   const std::function<void(std::size_t)>* fn_ PFM_GUARDED_BY(mu_) = nullptr;
-  std::vector<std::exception_ptr>* errors_ PFM_GUARDED_BY(mu_) = nullptr;
-  std::vector<std::exception_ptr> scratch_errors_;  // parallel_for's buffer
+  std::vector<std::exception_ptr> errors_ PFM_GUARDED_BY(mu_);
 
   // Batch barrier: generation counter (release on publish, acquire on
   // consume), outstanding-worker count, and the per-shard index queues

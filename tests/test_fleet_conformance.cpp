@@ -1,6 +1,6 @@
 // Conformance suite of the fleet hot path:
 //  - the arena-backed score_batch overloads (SoA scoring + cached kernel
-//    constants) are *bit-identical* to the 2-argument overloads;
+//    constants) are *bit-identical* to score();
 //  - a fleet run under a default FleetConfig reproduces its recorded
 //    golden fingerprint (tests/golden/) — telemetry and every sim-time
 //    export — at 1, 2 and 8 threads, on a healthy fleet and under a
@@ -86,8 +86,8 @@ const Ensemble& ensemble() {
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 /// The 3-arg arena overloads (SoA UBF sweep, scratch-backed regression,
-/// sorted-id membership) must reproduce the 2-arg reference overloads bit
-/// for bit — same rounding, same FP contraction, same accumulation order.
+/// sorted-id membership) must reproduce score() bit for bit — same
+/// rounding, same FP contraction, same accumulation order.
 TEST(FleetConformance, ArenaScoreBatchesAreBitIdenticalToReference) {
   const auto& e = ensemble();
   const auto samples = e.train_trace.samples();
@@ -109,7 +109,9 @@ TEST(FleetConformance, ArenaScoreBatchesAreBitIdenticalToReference) {
   std::vector<double> reference(contexts.size());
   std::vector<double> optimized(contexts.size());
   for (const auto* p : {e.ubf.get(), e.trend.get()}) {
-    p->score_batch(contexts, reference);
+    for (std::size_t i = 0; i < contexts.size(); ++i) {
+      reference[i] = p->score(contexts[i]);
+    }
     p->score_batch(contexts, optimized, scratch);
     for (std::size_t i = 0; i < contexts.size(); ++i) {
       EXPECT_EQ(bits(reference[i]), bits(optimized[i]))
@@ -129,7 +131,9 @@ TEST(FleetConformance, ArenaScoreBatchesAreBitIdenticalToReference) {
   ASSERT_FALSE(sequences.empty());
   std::vector<double> seq_ref(sequences.size());
   std::vector<double> seq_opt(sequences.size());
-  e.eventset->score_batch(sequences, seq_ref);
+  for (std::size_t i = 0; i < sequences.size(); ++i) {
+    seq_ref[i] = e.eventset->score(sequences[i]);
+  }
   e.eventset->score_batch(sequences, seq_opt, scratch);
   for (std::size_t i = 0; i < sequences.size(); ++i) {
     EXPECT_EQ(bits(seq_ref[i]), bits(seq_opt[i])) << "sequence " << i;

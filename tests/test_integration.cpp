@@ -5,13 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
-#include "core/mea.hpp"
 #include "prediction/baselines.hpp"
 #include "prediction/calibration.hpp"
 #include "prediction/evaluate.hpp"
 #include "prediction/hsmm.hpp"
 #include "prediction/ubf.hpp"
+#include "runtime/fleet.hpp"
 #include "runtime/scp_system.hpp"
 
 namespace pfm {
@@ -132,19 +133,21 @@ TEST_F(PipelineTest, ClosedLoopWithTrainedPredictorImprovesAvailability) {
   plain.run();
 
   telecom::ScpSimulator managed(cfg);
-  runtime::ScpManagedSystem managed_system(managed);
-  core::MeaConfig mc;
-  mc.windows = g;
-  mc.warning_threshold = 0.5;
-  core::MeaController mea(managed_system, mc);
+  std::vector<std::unique_ptr<core::ManagedSystem>> nodes;
+  nodes.push_back(std::make_unique<runtime::ScpManagedSystem>(managed));
+  runtime::FleetConfig fc;
+  fc.mea.windows = g;
+  fc.mea.warning_threshold = 0.5;
+  runtime::FleetController mea(std::move(nodes), fc);
   mea.add_symptom_predictor(
       std::make_shared<pred::CalibratedSymptomPredictor>(trend,
                                                          report.threshold));
-  mea.add_action(std::make_unique<act::StateCleanupAction>());
-  mea.add_action(std::make_unique<act::PreparedRepairAction>(900.0));
+  mea.add_action([] { return std::make_unique<act::StateCleanupAction>(); });
+  mea.add_action(
+      [] { return std::make_unique<act::PreparedRepairAction>(900.0); });
   mea.run();
 
-  EXPECT_GT(mea.stats().warnings, 0u);
+  EXPECT_GT(mea.node_mea_stats(0).warnings, 0u);
   EXPECT_GE(managed.stats().availability(), plain.stats().availability());
 }
 

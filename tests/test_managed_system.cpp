@@ -1,4 +1,4 @@
-// The ManagedSystem seam: the MEA core must behave identically through
+// The ManagedSystem seam: the MEA loop must behave identically through
 // the ScpManagedSystem adapter as it did when it drove the simulator
 // directly, and src/core must stay free of telecom includes.
 
@@ -7,9 +7,10 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
-#include "core/mea.hpp"
 #include "lint.hpp"
+#include "runtime/fleet.hpp"
 #include "runtime/scp_system.hpp"
 
 namespace pfm {
@@ -32,8 +33,8 @@ class PressurePredictor final : public pred::SymptomPredictor {
 };
 
 // Golden closed-loop trajectory captured from the pre-refactor code (the
-// controller held a ScpSimulator& directly). The refactored controller
-// must reproduce it bit-for-bit through the adapter.
+// controller held a ScpSimulator& directly). A one-node fleet over the
+// borrowing adapter must reproduce it bit-for-bit.
 TEST(ManagedSystem, MeaThroughAdapterMatchesGoldenTrajectory) {
   telecom::SimConfig cfg;
   cfg.duration = 3.0 * 86400.0;
@@ -43,20 +44,24 @@ TEST(ManagedSystem, MeaThroughAdapterMatchesGoldenTrajectory) {
   cfg.spike_mtbf = 1e12;
 
   telecom::ScpSimulator managed(cfg);
-  runtime::ScpManagedSystem system(managed);
-  core::MeaConfig mc;
-  mc.warning_threshold = 0.72;
-  mc.action_cooldown = 600.0;
-  core::MeaController mea(system, mc);
+  std::vector<std::unique_ptr<core::ManagedSystem>> nodes;
+  nodes.push_back(std::make_unique<runtime::ScpManagedSystem>(managed));
+  runtime::FleetConfig fc;
+  fc.mea.warning_threshold = 0.72;
+  fc.mea.action_cooldown = 600.0;
+  runtime::FleetController mea(std::move(nodes), fc);
   const auto idx = *managed.trace().schema().index("mem_pressure_max");
   mea.add_symptom_predictor(std::make_shared<PressurePredictor>(idx));
-  mea.add_action(std::make_unique<act::StateCleanupAction>(0.70));
-  mea.add_action(std::make_unique<act::PreventiveFailoverAction>());
-  mea.add_action(std::make_unique<act::LoadLoweringAction>());
-  mea.add_action(std::make_unique<act::PreparedRepairAction>(1800.0));
+  mea.add_action(
+      [] { return std::make_unique<act::StateCleanupAction>(0.70); });
+  mea.add_action(
+      [] { return std::make_unique<act::PreventiveFailoverAction>(); });
+  mea.add_action([] { return std::make_unique<act::LoadLoweringAction>(); });
+  mea.add_action(
+      [] { return std::make_unique<act::PreparedRepairAction>(1800.0); });
   mea.run();
 
-  const auto& m = mea.stats();
+  const auto& m = mea.node_mea_stats(0);
   EXPECT_EQ(m.evaluations, 4320u);
   EXPECT_EQ(m.warnings, 18u);
   EXPECT_EQ(m.actions_by_kind[0], 18u);  // state cleanup
@@ -77,7 +82,7 @@ TEST(ManagedSystem, MeaThroughAdapterMatchesGoldenTrajectory) {
   EXPECT_DOUBLE_EQ(s.simulated, 259200.0);
 
   // The adapter's aggregate view is the same data.
-  const auto sys = system.system_stats();
+  const auto sys = mea.node(0).system_stats();
   EXPECT_EQ(sys.total_requests, s.total_requests);
   EXPECT_EQ(sys.failures, s.failures);
   EXPECT_DOUBLE_EQ(sys.downtime, s.downtime);

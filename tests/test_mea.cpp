@@ -1,11 +1,15 @@
-#include "core/mea.hpp"
+// The Monitor-Evaluate-Act loop (Fig. 1) on one simulated SCP: a
+// one-node fleet over a borrowed simulator, so each test can read the
+// simulator's own statistics after the run.
 
 #include <gtest/gtest.h>
 
-#include "runtime/scp_system.hpp"
-
 #include <memory>
 #include <stdexcept>
+#include <vector>
+
+#include "runtime/fleet.hpp"
+#include "runtime/scp_system.hpp"
 
 namespace pfm::core {
 namespace {
@@ -49,32 +53,42 @@ std::size_t pressure_index(const telecom::ScpSimulator& sim) {
   return *sim.trace().schema().index("mem_pressure_max");
 }
 
+std::unique_ptr<runtime::FleetController> one_node(telecom::ScpSimulator& sim,
+                                                   const MeaConfig& mea) {
+  std::vector<std::unique_ptr<ManagedSystem>> nodes;
+  nodes.push_back(std::make_unique<runtime::ScpManagedSystem>(sim));
+  runtime::FleetConfig cfg;
+  cfg.mea = mea;
+  return std::make_unique<runtime::FleetController>(std::move(nodes), cfg);
+}
+
 TEST(Mea, ConfigValidation) {
   telecom::ScpSimulator sim(leaky_config(0.01));
-  runtime::ScpManagedSystem system(sim);
   MeaConfig cfg;
   cfg.evaluation_interval = 0.0;
-  EXPECT_THROW(MeaController(system, cfg), std::invalid_argument);
+  EXPECT_THROW(one_node(sim, cfg), std::invalid_argument);
   cfg = MeaConfig{};
   cfg.warning_threshold = 1.5;
-  EXPECT_THROW(MeaController(system, cfg), std::invalid_argument);
+  EXPECT_THROW(one_node(sim, cfg), std::invalid_argument);
   cfg = MeaConfig{};
-  MeaController mea(system, cfg);
-  EXPECT_THROW(mea.add_symptom_predictor(nullptr), std::invalid_argument);
-  EXPECT_THROW(mea.add_event_predictor(nullptr), std::invalid_argument);
-  EXPECT_THROW(mea.add_action(nullptr), std::invalid_argument);
+  cfg.windows.data_window = 0.0;
+  EXPECT_THROW(one_node(sim, cfg), std::invalid_argument);
+  auto mea = one_node(sim, MeaConfig{});
+  EXPECT_THROW(mea->add_symptom_predictor(nullptr), std::invalid_argument);
+  EXPECT_THROW(mea->add_event_predictor(nullptr), std::invalid_argument);
+  EXPECT_THROW(mea->add_action(nullptr), std::invalid_argument);
+  EXPECT_THROW(mea->add_action([] { return std::unique_ptr<act::Action>(); }),
+               std::invalid_argument);
 }
 
 TEST(Mea, NoWarningsWithSilentPredictor) {
   telecom::ScpSimulator sim(leaky_config(0.5));
-  runtime::ScpManagedSystem system(sim);
-  MeaConfig cfg;
-  MeaController mea(system, cfg);
-  mea.add_symptom_predictor(std::make_shared<SilentPredictor>());
-  mea.run();
-  EXPECT_GT(mea.stats().evaluations, 0u);
-  EXPECT_EQ(mea.stats().warnings, 0u);
-  EXPECT_EQ(mea.stats().total_actions(), 0u);
+  auto mea = one_node(sim, MeaConfig{});
+  mea->add_symptom_predictor(std::make_shared<SilentPredictor>());
+  mea->run();
+  EXPECT_GT(mea->node_mea_stats(0).evaluations, 0u);
+  EXPECT_EQ(mea->node_mea_stats(0).warnings, 0u);
+  EXPECT_EQ(mea->node_mea_stats(0).total_actions(), 0u);
 }
 
 TEST(Mea, AvoidanceCutsFailuresOnLeakWorkload) {
@@ -85,35 +99,37 @@ TEST(Mea, AvoidanceCutsFailuresOnLeakWorkload) {
 
   // PFM with a pressure-triggered state clean-up.
   telecom::ScpSimulator managed(leaky_config());
-  runtime::ScpManagedSystem system(managed);
   MeaConfig cfg;
   cfg.warning_threshold = 0.72;
   cfg.action_cooldown = 600.0;
-  MeaController mea(system, cfg);
-  mea.add_symptom_predictor(
+  auto mea = one_node(managed, cfg);
+  mea->add_symptom_predictor(
       std::make_shared<PressurePredictor>(pressure_index(managed)));
-  mea.add_action(std::make_unique<act::StateCleanupAction>(0.70));
-  mea.add_action(std::make_unique<act::PreparedRepairAction>(1800.0));
-  mea.run();
+  mea->add_action(
+      [] { return std::make_unique<act::StateCleanupAction>(0.70); });
+  mea->add_action(
+      [] { return std::make_unique<act::PreparedRepairAction>(1800.0); });
+  mea->run();
 
-  EXPECT_GT(mea.stats().warnings, 0u);
-  EXPECT_GT(mea.stats().total_actions(), 0u);
+  EXPECT_GT(mea->node_mea_stats(0).warnings, 0u);
+  EXPECT_GT(mea->node_mea_stats(0).total_actions(), 0u);
   EXPECT_LT(managed.stats().failures, plain.stats().failures);
   EXPECT_GT(managed.stats().availability(), plain.stats().availability());
 }
 
 TEST(Mea, MinimizationAlonePreparesRepairs) {
   telecom::ScpSimulator managed(leaky_config());
-  runtime::ScpManagedSystem system(managed);
   MeaConfig cfg;
   cfg.warning_threshold = 0.72;
   cfg.enable_avoidance = false;  // only prepare, never avoid
-  MeaController mea(system, cfg);
-  mea.add_symptom_predictor(
+  auto mea = one_node(managed, cfg);
+  mea->add_symptom_predictor(
       std::make_shared<PressurePredictor>(pressure_index(managed)));
-  mea.add_action(std::make_unique<act::StateCleanupAction>(0.70));
-  mea.add_action(std::make_unique<act::PreparedRepairAction>(3600.0));
-  mea.run();
+  mea->add_action(
+      [] { return std::make_unique<act::StateCleanupAction>(0.70); });
+  mea->add_action(
+      [] { return std::make_unique<act::PreparedRepairAction>(3600.0); });
+  mea->run();
 
   // Avoidance disabled: failures still happen, but some repairs are
   // prepared (Table 1's "prepared repair" column).
@@ -124,39 +140,27 @@ TEST(Mea, MinimizationAlonePreparesRepairs) {
 
 TEST(Mea, CooldownLimitsActionRate) {
   telecom::ScpSimulator managed(leaky_config(1.0));
-  runtime::ScpManagedSystem system(managed);
   MeaConfig cfg;
   cfg.warning_threshold = 0.0;  // warn every evaluation
   cfg.evaluation_interval = 60.0;
   cfg.action_cooldown = 7200.0;
   cfg.enable_minimization = false;
-  MeaController mea(system, cfg);
-  mea.add_symptom_predictor(
+  auto mea = one_node(managed, cfg);
+  mea->add_symptom_predictor(
       std::make_shared<PressurePredictor>(pressure_index(managed)));
-  mea.add_action(std::make_unique<act::StateCleanupAction>(0.44));
-  mea.run();
+  mea->add_action(
+      [] { return std::make_unique<act::StateCleanupAction>(0.44); });
+  mea->run();
   // 1 day / 2 h cooldown: at most ~12 restarts + slack.
   EXPECT_LE(managed.stats().preventive_restarts, 14);
-  EXPECT_GT(mea.stats().warnings, 100u);
-}
-
-TEST(Mea, EvaluateNowReflectsPredictors) {
-  telecom::ScpSimulator sim(leaky_config(0.2));
-  runtime::ScpManagedSystem system(sim);
-  MeaConfig cfg;
-  MeaController mea(system, cfg);
-  mea.add_symptom_predictor(std::make_shared<SilentPredictor>());
-  mea.run_until(3600.0);
-  EXPECT_DOUBLE_EQ(mea.evaluate_now(), 0.0);
+  EXPECT_GT(mea->node_mea_stats(0).warnings, 100u);
 }
 
 TEST(Mea, RunUntilStopsAtRequestedTime) {
   telecom::ScpSimulator sim(leaky_config(1.0));
-  runtime::ScpManagedSystem system(sim);
-  MeaConfig cfg;
-  MeaController mea(system, cfg);
-  mea.add_symptom_predictor(std::make_shared<SilentPredictor>());
-  mea.run_until(3600.0);
+  auto mea = one_node(sim, MeaConfig{});
+  mea->add_symptom_predictor(std::make_shared<SilentPredictor>());
+  mea->run_until(3600.0);
   EXPECT_GE(sim.now(), 3600.0);
   EXPECT_LT(sim.now(), 7200.0);
 }

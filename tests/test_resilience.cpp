@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -452,24 +451,37 @@ TEST(Resilience, RetryPolicyCanRethrow) {
 
 // --- NaN / inf sanitization -------------------------------------------------
 
-TEST(Resilience, EvaluateNowExcludesNonFiniteScores) {
-  runtime::ScpManagedSystem system{sim_config()};
-  core::MeaConfig cfg;
-  cfg.warning_threshold = 0.72;
-  core::MeaController mea(system, cfg);
-  mea.add_symptom_predictor(std::make_shared<ScriptedPredictor>(
-      std::numeric_limits<double>::quiet_NaN(), 0.0, 1000000));
-  mea.add_symptom_predictor(std::make_shared<ScriptedPredictor>(
-      std::numeric_limits<double>::infinity(), 0.0, 1000000));
-  mea.add_symptom_predictor(
-      std::make_shared<PressurePredictor>(pressure_index()));
+TEST(Resilience, FleetExcludesNonFiniteScoresFromTheReduce) {
+  // NaN and +inf predictors beside the pressure oracle: the fleet must
+  // raise exactly the warnings the oracle raises alone, and count every
+  // non-finite score it excluded.
+  auto run = [](bool with_non_finite) {
+    runtime::FleetConfig cfg;
+    cfg.mea.warning_threshold = 0.72;
+    runtime::FleetController fleet(runtime::make_scp_fleet(sim_config(), 1),
+                                   cfg);
+    if (with_non_finite) {
+      fleet.add_symptom_predictor(std::make_shared<ScriptedPredictor>(
+          std::numeric_limits<double>::quiet_NaN(), 0.0, 1000000));
+      fleet.add_symptom_predictor(std::make_shared<ScriptedPredictor>(
+          std::numeric_limits<double>::infinity(), 0.0, 1000000));
+    }
+    fleet.add_symptom_predictor(
+        std::make_shared<PressurePredictor>(pressure_index()));
+    fleet.run();
+    return fleet.telemetry();
+  };
+  const auto alone = run(false);
+  const auto mixed = run(true);
 
-  system.step_to(1800.0);
-  std::size_t sanitized = 0;
-  const double combined = mea.evaluate_now(&sanitized);
-  EXPECT_TRUE(std::isfinite(combined));
-  EXPECT_EQ(sanitized, 2u) << "one NaN + one inf excluded";
-  EXPECT_LT(combined, 1.01) << "+inf must not leak into the reduce";
+  ASSERT_GT(alone.warnings_raised, 0u) << "scenario too tame to warn";
+  EXPECT_EQ(mixed.warnings_raised, alone.warnings_raised);
+  EXPECT_EQ(mixed.mea.actions_by_kind, alone.mea.actions_by_kind);
+  EXPECT_EQ(alone.resilience.scores_sanitized, 0u);
+  EXPECT_GT(mixed.resilience.scores_sanitized, 0u);
+  // Everything the two extra predictors scored was non-finite.
+  EXPECT_EQ(mixed.resilience.scores_sanitized,
+            mixed.scores_computed - alone.scores_computed);
 }
 
 TEST(Resilience, InfScoresDoNotForceFleetWarnings) {

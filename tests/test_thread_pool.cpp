@@ -56,50 +56,28 @@ TEST(ThreadPool, PropagatesTheFirstException) {
 }
 
 TEST(ThreadPool, CapturesEveryFailurePerTask) {
-  // The captured variant maps each exception back to the index that threw
-  // it, and the remaining indices all still run — the property the fleet
-  // loop needs to quarantine exactly the failing nodes.
+  // Every task runs even when others throw, and the exception rethrown at
+  // the call site is the lowest index's — whichever thread ran it.
   for (std::size_t threads : {1u, 4u}) {
     ThreadPool pool(threads);
     const std::size_t n = 64;
     std::vector<std::atomic<int>> hits(n);
-    std::vector<std::exception_ptr> errors;
-    pool.parallel_for_captured(
-        n,
-        [&](std::size_t i) {
-          ++hits[i];
-          if (i % 7 == 3) {
-            throw std::runtime_error("task " + std::to_string(i));
-          }
-        },
-        errors);
-    ASSERT_EQ(errors.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-      if (i % 7 == 3) {
-        ASSERT_TRUE(errors[i]) << "index " << i;
-        try {
-          std::rethrow_exception(errors[i]);
-        } catch (const std::runtime_error& e) {
-          EXPECT_EQ(std::string(e.what()), "task " + std::to_string(i));
+    try {
+      pool.parallel_for(n, [&](std::size_t i) {
+        ++hits[i];
+        if (i % 7 == 3) {
+          throw std::runtime_error("task " + std::to_string(i));
         }
-      } else {
-        EXPECT_FALSE(errors[i]) << "index " << i;
-      }
+      });
+      ADD_FAILURE() << "no exception with " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "task 3") << threads << " threads";
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " with " << threads
+                                   << " threads";
     }
   }
-}
-
-TEST(ThreadPool, CapturedBufferResetsBetweenBatches) {
-  ThreadPool pool(2);
-  std::vector<std::exception_ptr> errors;
-  pool.parallel_for_captured(
-      4, [](std::size_t) { throw std::runtime_error("boom"); }, errors);
-  for (const auto& e : errors) EXPECT_TRUE(e);
-  pool.parallel_for_captured(4, [](std::size_t) {}, errors);
-  for (const auto& e : errors) EXPECT_FALSE(e);
-  pool.parallel_for_captured(0, [](std::size_t) {}, errors);
-  EXPECT_TRUE(errors.empty());
 }
 
 TEST(ThreadPool, HandlesEmptyAndSingleBatches) {
