@@ -11,23 +11,16 @@
 
 namespace pfm::core {
 
-/// Bounded-retry / exponential-backoff policy for countermeasure
-/// execution. A throwing action is retried up to `max_attempts` total
-/// tries within the same warning; when all attempts fail, the action's
-/// kind is backed off in *simulated* time (initial * 2^consecutive
-/// abandoned executions, capped at `backoff_max`) before it may run
+/// Bounded retry and exponential backoff of countermeasure execution. A
+/// throwing action is tried up to kActionMaxAttempts times within the
+/// same warning; when every attempt fails, the action's kind is backed
+/// off in *simulated* time (kActionBackoffInitial * 2^consecutive
+/// abandoned executions, capped at kActionBackoffMax) before it may run
 /// again, and the failure is absorbed into the stats instead of
-/// propagating. Actions that never throw see none of this — the
-/// fault-free path is bit-identical to a policy-free loop.
-struct ActionRetryPolicy {
-  std::size_t max_attempts = 3;  ///< total tries per execution; >= 1
-  double backoff_initial = 120.0;  ///< seconds, doubles per failure
-  double backoff_max = 3600.0;
-  /// Propagate the last exception instead of absorbing it (pre-hardening
-  /// behavior; the fault-injection bench uses this as its "no hardening"
-  /// arm).
-  bool rethrow = false;
-};
+/// propagating. Actions that never throw see none of this.
+inline constexpr std::size_t kActionMaxAttempts = 3;
+inline constexpr double kActionBackoffInitial = 120.0;  ///< seconds
+inline constexpr double kActionBackoffMax = 3600.0;     ///< seconds
 
 /// Configuration of the Monitor-Evaluate-Act loop.
 struct MeaConfig {
@@ -46,8 +39,6 @@ struct MeaConfig {
   /// E9 experiment toggles these.
   bool enable_avoidance = true;
   bool enable_minimization = true;
-  /// Failure handling for countermeasure execution.
-  ActionRetryPolicy retry;
 };
 
 /// Counters of one MEA run. The fault counters stay zero unless a
@@ -101,9 +92,8 @@ class ActEngine {
   ///  - downtime avoidance: the objective function picks the single most
   ///    effective applicable action.
   /// Executed actions are counted into `stats` and stamp their cooldown.
-  /// Throwing actions follow `config.retry` (bounded retries, then
-  /// exponential backoff on the action's kind, failure absorbed into
-  /// `stats` unless the policy says rethrow).
+  /// Throwing actions are retried and then backed off (see
+  /// kActionMaxAttempts); the failure is absorbed into `stats`.
   void act(ManagedSystem& system, double score, const MeaConfig& config,
            MeaStats& stats);
 
@@ -127,9 +117,9 @@ class ActEngine {
   void set_flight(obs::FlightRecorder* flight, std::size_t node);
 
  private:
-  /// Runs one action under the retry policy; true on success.
+  /// Runs one action with bounded retry and backoff; true on success.
   bool try_execute(act::Action& action, ManagedSystem& system, double score,
-                   const MeaConfig& config, MeaStats& stats);
+                   MeaStats& stats);
 
   obs::TraceRecorder* tracer_ = nullptr;
   std::uint32_t track_ = 0;

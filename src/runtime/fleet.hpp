@@ -21,23 +21,6 @@ namespace pfm::runtime {
 
 class ShardController;
 
-/// Fault handling of the fleet loop itself. Enabled by default: with
-/// healthy components none of it ever engages, so the fault-free path is
-/// bit-identical to a resilience-free loop. Disabled, the controller
-/// reverts to fail-fast (the first component exception aborts the run) —
-/// the fault-injection bench's "no hardening" arm.
-struct ResilienceConfig {
-  bool enabled = true;
-  /// Consecutive Monitor rounds a node may make no time progress before
-  /// it is quarantined as hung.
-  std::size_t max_stall_rounds = 3;
-  /// Consecutive faulty Evaluate rounds (a throw, or any non-finite
-  /// score) before a predictor's circuit breaker opens.
-  std::size_t breaker_trip_failures = 3;
-  /// Rounds a tripped predictor sits out before a half-open probe round.
-  std::size_t breaker_open_rounds = 8;
-};
-
 /// Online prediction-quality scoreboard (DESIGN.md §12): a fleet-wide
 /// obs::QualityTracker matching live warnings against ground-truth
 /// failures (the Sect. 3.3 rule), plus a live Eq. 8 availability
@@ -46,18 +29,10 @@ struct ResilienceConfig {
 /// every export stays byte-identical to a quality-free build. The
 /// window geometry and warning threshold come from the owning
 /// FleetConfig's MeaConfig — a single source of truth, so the online
-/// counts reproduce the offline evaluation exactly.
+/// counts reproduce the offline evaluation exactly; the tracker's ring
+/// and bin sizes are obs::QualityConfig's defaults.
 struct FleetQualityConfig {
   bool enabled = false;
-  /// Count a failure earlier than lead_time ahead as a true positive
-  /// (must match EvalOptions::count_early_failures for cross-checks).
-  bool count_early_failures = true;
-  /// Pending-instant ring per node (see QualityConfig).
-  std::size_t pending_capacity = 64;
-  /// Sliding outcome window per (node, lane) behind the live gauges.
-  std::size_t outcome_window = 128;
-  /// Score-distribution bins per lane (streaming PR curve / AUC).
-  std::size_t score_bins = 20;
   /// Eq. 8 CTMC parameters; the `quality` field is overwritten at each
   /// refresh with the live windowed (precision, recall, fpr) estimate,
   /// clamped off the degenerate boundaries via ctmc::clamped_quality.
@@ -100,7 +75,6 @@ struct FleetConfig {
   /// config quantizes churn to epoch boundaries, so epoch_ticks becomes
   /// semantic for churn timing (results stay thread-count invariant).
   membership::MembershipConfig membership;
-  ResilienceConfig resilience;
   /// Online prediction-quality scoreboard + live Eq. 8 availability
   /// estimation (see FleetQualityConfig). Off by default.
   FleetQualityConfig quality;
@@ -149,8 +123,8 @@ struct FleetTelemetry {
   /// Cross-fleet synchronization points: epoch barriers that did work.
   /// epochs == rounds on a dense single-shard fleet with epoch_ticks 1.
   std::size_t epochs = 0;
-  /// Individual node Monitor steps. This is the unit quarantine
-  /// thresholds (max_stall_rounds) count in: node-local steps, not
+  /// Individual node Monitor steps. This is the unit the stall
+  /// quarantine threshold (kMaxStallSteps) counts in: node-local steps, not
   /// fleet rounds — an adaptively backed-off node steps far fewer times
   /// than the fleet runs rounds.
   std::size_t node_steps = 0;
@@ -166,6 +140,15 @@ struct FleetTelemetry {
   core::SystemStats system;   ///< sum of the per-node SystemStats, plus
                               ///< the retired stats of replaced systems
 };
+
+/// Consecutive Monitor steps a node may make no time progress before it
+/// is quarantined as hung.
+inline constexpr std::size_t kMaxStallSteps = 3;
+/// Consecutive faulty Evaluate rounds (a throw, or any non-finite score)
+/// before a predictor's circuit breaker opens.
+inline constexpr std::size_t kBreakerTripFailures = 3;
+/// Rounds a tripped predictor sits out before a half-open probe round.
+inline constexpr std::size_t kBreakerOpenRounds = 8;
 
 /// Per-node loop state beyond the MEA counters, owned by the node's shard.
 struct FleetNodeState {
@@ -228,7 +211,7 @@ struct FleetInstruments {
 /// inside the node, so results are bit-identical for any thread count
 /// and each shard replays independently.
 ///
-/// The loop is itself proactively fault-managed (ResilienceConfig):
+/// The loop is itself proactively fault-managed, always:
 ///  - a node whose Monitor/Act stage throws, or that stops making time
 ///    progress, is *quarantined* — recorded with its reason and excluded
 ///    from further rounds while the rest of the fleet keeps running;
@@ -238,8 +221,8 @@ struct FleetInstruments {
 ///    carry the Evaluate stage in degraded mode;
 ///  - non-finite scores never reach the warning decision (sanitized and
 ///    counted);
-///  - failing countermeasures follow the core ActionRetryPolicy (bounded
-///    retry, exponential backoff).
+///  - failing countermeasures are retried a bounded number of times and
+///    then backed off exponentially (core::ActEngine).
 /// All of it is deterministic: quarantine and breaker transitions depend
 /// only on per-round outcomes, which are themselves thread-count
 /// invariant.
@@ -262,9 +245,9 @@ class FleetController {
   void add_action(
       const std::function<std::unique_ptr<act::Action>()>& factory);
 
-  /// Runs every node to its horizon. With resilience enabled this never
-  /// throws on component faults: failing nodes are quarantined and the
-  /// run completes with whatever remains of the fleet.
+  /// Runs every node to its horizon. Component faults never escape:
+  /// failing nodes are quarantined and the run completes with whatever
+  /// remains of the fleet.
   void run();
 
   /// Runs every node until time `t` (or its horizon, whichever is first).

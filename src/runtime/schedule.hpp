@@ -16,6 +16,11 @@
 
 namespace pfm::runtime {
 
+/// A node whose SchedulingHint urgency reaches this value is kept dense
+/// under the adaptive policy (1.0 is the ManagedSystem default, so
+/// unknown backends never get backed off).
+inline constexpr double kHotUrgency = 0.75;
+
 /// Adaptive sampling policy of the fleet scheduler. With `adaptive`
 /// false (the default) the calendar degenerates to the dense schedule —
 /// every node due every tick.
@@ -28,18 +33,14 @@ struct SchedulePolicy {
   /// A node whose combined score reaches this fraction of the warning
   /// threshold is kept dense.
   double hot_score_fraction = 0.5;
-  /// A node whose SchedulingHint urgency reaches this value is kept
-  /// dense (1.0 is the ManagedSystem default, so unknown backends never
-  /// get backed off).
-  double hot_urgency = 0.75;
 
   void validate() const {
     if (max_gap == 0) {
       throw std::invalid_argument("SchedulePolicy: max_gap must be >= 1");
     }
-    if (hot_score_fraction < 0.0 || hot_urgency < 0.0) {
+    if (hot_score_fraction < 0.0) {
       throw std::invalid_argument(
-          "SchedulePolicy: hot thresholds must be >= 0");
+          "SchedulePolicy: hot_score_fraction must be >= 0");
     }
   }
 

@@ -177,7 +177,7 @@ bool ShardController::node_is_hot(std::size_t local, double combined_score) {
     return true;
   }
   if (delta) return true;
-  return node.scheduling_hint().urgency >= config.schedule.hot_urgency;
+  return node.scheduling_hint().urgency >= kHotUrgency;
 }
 
 // pfm-hot
@@ -185,8 +185,6 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
   const FleetConfig& config = *env_.config;
   const double interval = config.mea.evaluation_interval;
   const double threshold = config.mea.warning_threshold;
-  const ResilienceConfig& res = config.resilience;
-  const bool hardened = res.enabled;
   auto& nodes = *env_.nodes;
   const auto& symptom = *env_.symptom;
   const auto& event = *env_.event;
@@ -229,7 +227,7 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
     obs::ScopedSpan monitor_span(tracer_, obs::SpanKind::kMonitorStage,
                                  stage_track_, round_begin, round,
                                  static_cast<std::int64_t>(active_.size()));
-    if (hardened) errors_.assign(active_.size(), std::exception_ptr{});
+    errors_.assign(active_.size(), std::exception_ptr{});
     for (std::size_t a = 0; a < active_.size(); ++a) {
       const std::size_t local = active_[a];
       const std::size_t i = base_ + local;
@@ -238,46 +236,40 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
           std::min(node.now() + sched_[local].pending_gap * interval, t);
       obs::ScopedSpan span(tracer_, obs::SpanKind::kNodeStep,
                            obs::node_track(i), pre_step_time_[a]);
-      if (hardened) {
-        try {
-          node.step_to(target);
-        } catch (...) {  // pfm-lint: allow(concurrency) — shard-local
-                         // capture; processed right below
-          errors_[a] = std::current_exception();
-        }
-      } else {
+      try {
         node.step_to(target);
+      } catch (...) {  // pfm-lint: allow(concurrency) — shard-local
+                       // capture; processed right below
+        errors_[a] = std::current_exception();
       }
       span.set_sim_end(node.now());
     }
-    if (hardened) {
-      for (std::size_t a = 0; a < active_.size(); ++a) {
-        const std::size_t local = active_[a];
-        const std::size_t i = base_ + local;
-        if (errors_[a]) {
-          inst.node_faults_total->inc();
-          quarantine_local(local, describe(errors_[a]));
-        } else if (!nodes[i]->finished() &&
-                   nodes[i]->now() <= pre_step_time_[a]) {
-          // Returned but made no time progress: a hang, not a crash.
-          // Thresholded in node-local steps — an adaptively backed-off
-          // node accrues its streak at its own visits.
-          inst.stall_detections_total->inc();
-          if (++node_state_[local].stall_streak >= res.max_stall_rounds) {
-            quarantine_local(local,
-                             stall_reason(node_state_[local].stall_streak));
-          }
-        } else {
-          node_state_[local].stall_streak = 0;
+    for (std::size_t a = 0; a < active_.size(); ++a) {
+      const std::size_t local = active_[a];
+      const std::size_t i = base_ + local;
+      if (errors_[a]) {
+        inst.node_faults_total->inc();
+        quarantine_local(local, describe(errors_[a]));
+      } else if (!nodes[i]->finished() &&
+                 nodes[i]->now() <= pre_step_time_[a]) {
+        // Returned but made no time progress: a hang, not a crash.
+        // Thresholded in node-local steps — an adaptively backed-off
+        // node accrues its streak at its own visits.
+        inst.stall_detections_total->inc();
+        if (++node_state_[local].stall_streak >= kMaxStallSteps) {
+          quarantine_local(local,
+                           stall_reason(node_state_[local].stall_streak));
         }
+      } else {
+        node_state_[local].stall_streak = 0;
       }
-      const auto& node_state = node_state_;
-      active_.erase(std::remove_if(active_.begin(), active_.end(),
-                                   [&](std::size_t local) {
-                                     return node_state[local].quarantined;
-                                   }),
-                    active_.end());
     }
+    const auto& node_state = node_state_;
+    active_.erase(std::remove_if(active_.begin(), active_.end(),
+                                 [&](std::size_t local) {
+                                   return node_state[local].quarantined;
+                                 }),
+                  active_.end());
     double round_end = round_begin;
     for (const std::size_t local : active_) {
       round_end = std::max(round_end, nodes[base_ + local]->now());
@@ -340,20 +332,20 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
     // one half-open probe tick; closed (and probing) predictors score.
     live_.clear();
     for (std::size_t p = 0; p < num_predictors; ++p) {
-      if (hardened && breakers_[p].open && breakers_[p].open_rounds_left > 0) {
+      if (breakers_[p].open && breakers_[p].open_rounds_left > 0) {
         --breakers_[p].open_rounds_left;
         continue;
       }
       live_.push_back(p);
     }
 
-    if (hardened) errors_.assign(live_.size(), std::exception_ptr{});
+    errors_.assign(live_.size(), std::exception_ptr{});
     for (std::size_t lp = 0; lp < live_.size(); ++lp) {
       const std::size_t p = live_[lp];
       auto& column = columns_[p];
       obs::ScopedSpan span(tracer_, obs::SpanKind::kScoreBatch,
                            obs::predictor_track(p), eval_time);
-      auto score_one = [&] {
+      try {
         if (p < symptom.size()) {
           column.resize(contexts_.size());
           symptom[p]->score_batch(contexts_, column, batch_scratch_[p]);
@@ -363,16 +355,9 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
                                                  batch_scratch_[p]);
         }
         span.set_arg(static_cast<std::int64_t>(column.size()));
-      };
-      if (hardened) {
-        try {
-          score_one();
-        } catch (...) {  // pfm-lint: allow(concurrency) — shard-local
-                         // capture feeding the per-predictor breaker
-          errors_[lp] = std::current_exception();
-        }
-      } else {
-        score_one();
+      } catch (...) {  // pfm-lint: allow(concurrency) — shard-local
+                       // capture feeding the per-predictor breaker
+        errors_[lp] = std::current_exception();
       }
     }
 
@@ -381,7 +366,7 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
     combined_.assign(active_.size(), 0.0);
     for (std::size_t lp = 0; lp < live_.size(); ++lp) {
       const std::size_t p = live_[lp];
-      const bool threw = hardened && errors_[lp] != nullptr;
+      const bool threw = errors_[lp] != nullptr;
       bool faulty = threw;
       if (!threw) {
         const auto& column = columns_[p];
@@ -390,7 +375,7 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
         if (p < symptom.size()) {
           for (std::size_t c = 0; c < n; ++c) {
             const double v = column[c];
-            if (hardened && !std::isfinite(v)) {
+            if (!std::isfinite(v)) {
               inst.scores_sanitized_total->inc();
               faulty = true;
               continue;
@@ -401,7 +386,7 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
         } else {
           for (std::size_t a = 0; a < n; ++a) {
             const double v = column[a];
-            if (hardened && !std::isfinite(v)) {
+            if (!std::isfinite(v)) {
               inst.scores_sanitized_total->inc();
               faulty = true;
               continue;
@@ -410,21 +395,20 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
           }
         }
       }
-      if (!hardened) continue;
       auto& breaker = breakers_[p];
       if (faulty) {
         inst.predictor_faults_total->inc();
         bool tripped = false;
         if (breaker.open) {
           // Half-open probe failed: back to a full cooldown.
-          breaker.open_rounds_left = res.breaker_open_rounds;
+          breaker.open_rounds_left = kBreakerOpenRounds;
           inst.breaker_trips_total->inc();
           obs::record_instant(tracer_, obs::SpanKind::kBreakerTrip,
                               obs::predictor_track(p), eval_time, round);
           tripped = true;
-        } else if (++breaker.failure_streak >= res.breaker_trip_failures) {
+        } else if (++breaker.failure_streak >= kBreakerTripFailures) {
           breaker.open = true;
-          breaker.open_rounds_left = res.breaker_open_rounds;
+          breaker.open_rounds_left = kBreakerOpenRounds;
           inst.breaker_trips_total->inc();
           obs::record_instant(tracer_, obs::SpanKind::kBreakerTrip,
                               obs::predictor_track(p), eval_time, round);
@@ -473,7 +457,7 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
       const double nan = std::numeric_limits<double>::quiet_NaN();
       scored_.assign(num_predictors, 0);
       for (std::size_t lp = 0; lp < live_.size(); ++lp) {
-        if (!hardened || errors_[lp] == nullptr) scored_[live_[lp]] = 1;
+        if (errors_[lp] == nullptr) scored_[live_[lp]] = 1;
       }
       ctx_of_active_.assign(active_.size(), -1);
       for (std::size_t c = 0; c < context_owner_.size(); ++c) {
@@ -534,29 +518,23 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
       }
     }
     act_span.set_arg(warned);
-    if (hardened) errors_.assign(active_.size(), std::exception_ptr{});
+    errors_.assign(active_.size(), std::exception_ptr{});
     for (std::size_t a = 0; a < active_.size(); ++a) {
       if (combined_[a] < threshold) continue;
       const std::size_t i = base_ + active_[a];
       ++(*env_.stats)[i].warnings;
-      auto& engine = (*env_.engines)[i];
-      if (hardened) {
-        try {
-          engine.act(*nodes[i], combined_[a], config.mea, (*env_.stats)[i]);
-        } catch (...) {  // pfm-lint: allow(concurrency) — shard-local
-                         // capture; quarantined right below
-          errors_[a] = std::current_exception();
-        }
-      } else {
-        engine.act(*nodes[i], combined_[a], config.mea, (*env_.stats)[i]);
+      try {
+        (*env_.engines)[i].act(*nodes[i], combined_[a], config.mea,
+                               (*env_.stats)[i]);
+      } catch (...) {  // pfm-lint: allow(concurrency) — shard-local
+                       // capture; quarantined right below
+        errors_[a] = std::current_exception();
       }
     }
-    if (hardened) {
-      for (std::size_t a = 0; a < active_.size(); ++a) {
-        if (!errors_[a]) continue;
-        inst.node_faults_total->inc();
-        quarantine_local(active_[a], describe(errors_[a]));
-      }
+    for (std::size_t a = 0; a < active_.size(); ++a) {
+      if (!errors_[a]) continue;
+      inst.node_faults_total->inc();
+      quarantine_local(active_[a], describe(errors_[a]));
     }
   }
   inst.act_latency->observe(seconds_since(act_start));

@@ -103,9 +103,8 @@ class ShardController {
   bool idle() const noexcept { return calendar_.empty(); }
 
   /// Drains every calendar tick before `end_tick` (the epoch barrier),
-  /// stepping due nodes toward sim-time `t`. Runs on a pool thread; with
-  /// resilience enabled component faults are absorbed shard-locally,
-  /// otherwise the first fault propagates (fail-fast).
+  /// stepping due nodes toward sim-time `t`. Runs on a pool thread;
+  /// component faults are absorbed shard-locally.
   void run_epoch(std::uint64_t end_tick, double t);
 
   std::size_t shard_index() const noexcept { return shard_index_; }

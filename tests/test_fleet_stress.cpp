@@ -76,9 +76,6 @@ Scenario draw_scenario(num::Rng& meta) {
       thread_choices[static_cast<std::size_t>(meta.uniform_int(0, 3))];
   s.cfg.mea.warning_threshold = meta.uniform(0.55, 0.80);
   s.cfg.mea.action_cooldown = 300.0 * meta.uniform_int(0, 2);
-  s.cfg.mea.retry.max_attempts =
-      static_cast<std::size_t>(meta.uniform_int(1, 3));
-  s.cfg.mea.retry.backoff_initial = 120.0;
 
   s.plan.seed = static_cast<std::uint64_t>(meta.uniform_int(1, 1 << 20));
   for (std::size_t i = 0; i < kNodes; ++i) {
