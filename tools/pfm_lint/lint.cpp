@@ -1,3 +1,4 @@
+#include "std_regex.hpp"  // first: see the header
 #include "lint.hpp"
 
 #include <algorithm>
@@ -5,7 +6,6 @@
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <regex>
 #include <set>
 #include <stdexcept>
 #include <thread>

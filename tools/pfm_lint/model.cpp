@@ -1,8 +1,8 @@
+#include "std_regex.hpp"  // first: see the header
 #include "model.hpp"
 
 #include <algorithm>
 #include <cstring>
-#include <regex>
 
 namespace pfm::lint {
 

@@ -1,9 +1,9 @@
+#include "std_regex.hpp"  // first: see the header
 #include "model.hpp"
 
 #include <algorithm>
 #include <cstring>
 #include <deque>
-#include <regex>
 
 // The three graph-aware rule families. All of them consume the
 // ProjectModel (function extents + call graph) rather than raw lines, so

@@ -1,10 +1,10 @@
+#include "std_regex.hpp"  // first: see the header
 #include "source.hpp"
 
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <regex>
 #include <sstream>
 #include <stdexcept>
 
