@@ -1,8 +1,9 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <random>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace pfm::num {
@@ -12,60 +13,81 @@ namespace pfm::num {
 /// All stochastic components receive an Rng by reference (no global state),
 /// which keeps simulations and training runs reproducible: the same seed
 /// yields the same traces, datasets and fitted models.
+///
+/// Every draw is a fixed formula over a specified engine, so a stream is a
+/// function of the seed alone and not of the standard library:
+///   - engine: xoshiro256** (Blackman & Vigna), its four state words filled
+///     by four successive splitmix64 outputs from the seed;
+///   - uniform(): the top 53 bits of one engine output, scaled by 2^-53;
+///   - uniform_int(): Lemire's multiply-and-reject, unbiased;
+///   - normal(): Marsaglia polar, the second variate of each pair kept;
+///   - exponential()/weibull(): -log1p(-u); lognormal(): exp of a normal;
+///   - gamma(): Marsaglia-Tsang, with the u^(1/shape) boost below shape 1;
+///   - poisson(): sequential-search inversion below mean 10, Hormann's
+///     PTRS transformed rejection at 10 and above;
+///   - bernoulli(): u < p.
+/// Invalid parameters throw std::invalid_argument.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) : gen_(seed) {}
+  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) noexcept;
+
+  /// Next raw 64-bit engine output (xoshiro256**).
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform() { return unit_(gen_); }
+  double uniform() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    return std::uniform_int_distribution<std::int64_t>(lo, hi)(gen_);
-  }
+  /// Uniform integer in [lo, hi] inclusive. Throws when lo > hi.
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
   /// Standard normal draw.
-  double normal() { return normal_(gen_); }
+  double normal();
 
   /// Normal draw with the given mean and standard deviation.
   double normal(double mean, double stddev) {
     return mean + stddev * normal();
   }
 
-  /// Exponential draw with the given rate (mean 1/rate).
-  double exponential(double rate) {
-    return std::exponential_distribution<double>(rate)(gen_);
-  }
+  /// Exponential draw with the given rate (mean 1/rate). Throws unless
+  /// rate > 0.
+  double exponential(double rate);
 
-  /// Weibull draw with shape k and scale lambda.
-  double weibull(double shape, double scale) {
-    return std::weibull_distribution<double>(shape, scale)(gen_);
-  }
+  /// Weibull draw with shape k and scale lambda. Throws unless both > 0.
+  double weibull(double shape, double scale);
 
-  /// Lognormal draw with the given log-space mean/stddev.
-  double lognormal(double mu, double sigma) {
-    return std::lognormal_distribution<double>(mu, sigma)(gen_);
-  }
+  /// Lognormal draw with the given log-space mean/stddev. Throws unless
+  /// sigma > 0.
+  double lognormal(double mu, double sigma);
 
-  /// Poisson draw with the given mean.
-  ///
-  /// Deliberately out-of-line: the definition lives in the translation
-  /// unit that interposes a reentrant lgamma, so every binary drawing
-  /// Poisson variates links the race-free version (see rng.cpp).
+  /// Poisson draw with the given mean. A mean of 0 returns 0; a negative,
+  /// NaN or infinite mean throws.
   std::int64_t poisson(double mean);
 
-  /// Bernoulli draw.
+  /// Bernoulli draw. Throws unless p is in [0, 1].
   bool bernoulli(double p) {
-    return std::bernoulli_distribution(p)(gen_);
+    if (!(p >= 0.0 && p <= 1.0)) {
+      throw std::invalid_argument("Rng::bernoulli: p must be in [0, 1]");
+    }
+    return uniform() < p;
   }
 
-  /// Gamma draw with shape and scale.
-  double gamma(double shape, double scale) {
-    return std::gamma_distribution<double>(shape, scale)(gen_);
-  }
+  /// Gamma draw with shape and scale. Throws unless both > 0.
+  double gamma(double shape, double scale);
 
   /// Index draw from unnormalized nonnegative weights.
   /// Throws std::invalid_argument when weights are empty or all zero.
@@ -74,13 +96,16 @@ class Rng {
   /// Fisher-Yates shuffle of an index set {0..n-1}.
   std::vector<std::size_t> permutation(std::size_t n);
 
-  /// Underlying engine, for interop with <random> distributions.
-  std::mt19937_64& engine() noexcept { return gen_; }
-
  private:
-  std::mt19937_64 gen_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
-  std::normal_distribution<double> normal_{0.0, 1.0};
+  static std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
+  std::int64_t poisson_ptrs(double mean);
+
+  std::array<std::uint64_t, 4> s_;
+  double spare_ = 0.0;  // second variate of the last polar pair
+  bool has_spare_ = false;
 };
 
 }  // namespace pfm::num

@@ -111,13 +111,14 @@ TEST(Fleet, EightNodesAreBitIdenticalAcrossThreadCounts) {
 // A 1-node fleet is the single-system MEA loop: node 0 keeps the base
 // seed, and the dense single-shard tick structure reduces to one loop
 // over one system. The expected numbers were recorded from the former
-// standalone single-system controller on the same scenario.
+// standalone single-system controller on the same scenario, and
+// re-recorded once when num::Rng moved to its own engine and samplers.
 TEST(Fleet, SingleNodeFleetMatchesStandaloneController) {
   auto fleet = make_fleet(1, 2);
   fleet->run();
 
   const auto s = fleet->node(0).system_stats();
-  EXPECT_EQ(s.total_requests, 2025076);
+  EXPECT_EQ(s.total_requests, 2020463);
   EXPECT_EQ(s.violations, 0);
   EXPECT_EQ(s.failures, 0);
   EXPECT_DOUBLE_EQ(s.downtime, 0.0);
