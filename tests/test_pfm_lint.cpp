@@ -96,6 +96,13 @@ TEST(PfmLint, DeterminismRuleFlagsEntropyAddressKeysAndUnorderedIteration) {
                 "src/prediction/bad_rng.cpp:14 banned-token",
                 "src/prediction/bad_rng.cpp:22 address-keyed",
                 "src/prediction/bad_rng.cpp:25 unordered-iteration",
+                "src/prediction/bad_rng.cpp:33 banned-token",
+                "src/prediction/bad_rng.cpp:34 banned-token",
+                "src/prediction/bad_rng.cpp:35 banned-token",
+                "src/prediction/bad_rng.cpp:36 banned-token",
+                "src/prediction/bad_rng.cpp:37 banned-token",
+                "src/prediction/bad_rng.cpp:38 banned-token",
+                "src/prediction/bad_rng.cpp:39 banned-token",
             }));
   for (const auto& f : findings) EXPECT_EQ(f.rule, "determinism");
 }
