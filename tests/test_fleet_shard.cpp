@@ -314,8 +314,9 @@ void expect_identical(const Artifacts& a, const Artifacts& b) {
 
 /// The byte-identity contract: a dense single-shard fleet with
 /// epoch_ticks 1 (the default FleetConfig) reproduces, in every sim-time
-/// export, the golden fingerprint recorded from the lockstep scheduler it
-/// replaced — clean and under a hostile fault plan.
+/// export and at threads {1, 2, 8}, the golden fingerprint first recorded
+/// from the lockstep scheduler it replaced — clean and under a hostile
+/// fault plan.
 void expect_dense_matches_lockstep_golden(bool hostile) {
   const std::string golden_name =
       hostile ? "fleet_shard_dense_hostile" : "fleet_shard_dense_clean";
@@ -332,12 +333,15 @@ void expect_dense_matches_lockstep_golden(bool hostile) {
   }
   golden::expect_matches(golden_name, canonical.fingerprint);
 
-  SCOPED_TRACE(std::string(hostile ? "hostile" : "clean") + " threads=2");
-  dense.threads = 2;
-  const auto run = run_fleet(dense);
-  ASSERT_EQ(run.dropped, 0u);
-  expect_identical(canonical, run);
-  golden::expect_matches(golden_name, run.fingerprint);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE(std::string(hostile ? "hostile" : "clean") +
+                 " threads=" + std::to_string(threads));
+    dense.threads = threads;
+    const auto run = run_fleet(dense);
+    ASSERT_EQ(run.dropped, 0u);
+    expect_identical(canonical, run);
+    golden::expect_matches(golden_name, run.fingerprint);
+  }
 }
 
 TEST(FleetShard, DenseSingleShardIsByteIdenticalToLockstepClean) {
