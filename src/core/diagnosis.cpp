@@ -25,7 +25,10 @@ std::vector<Suspicion> Diagnoser::diagnose(
     if (e.component < 0 || static_cast<std::size_t>(e.component) >= n) {
       continue;
     }
-    report_weight[static_cast<std::size_t>(e.component)] +=
+    // A restart or repair cleared whatever the unit reported before it.
+    const auto unit = static_cast<std::size_t>(e.component);
+    if (e.time < system.unit_health(unit).up_since) continue;
+    report_weight[unit] +=
         static_cast<double>(e.severity);
   }
   const double max_report =
@@ -40,8 +43,9 @@ std::vector<Suspicion> Diagnoser::diagnose(
     if (report_weight[i] > 0.0) {
       evidence << "error reports (weight " << report_weight[i] << ")";
     }
-    // Channel 2: resource-state anomaly.
-    if (unit.memory_pressure > config_.pressure_threshold) {
+    // Channel 2: resource-state anomaly, suspicious on its own.
+    const bool pressured = unit.memory_pressure > config_.pressure_threshold;
+    if (pressured) {
       score += 0.3 * std::min(
                          (unit.memory_pressure - config_.pressure_threshold) /
                              (1.0 - config_.pressure_threshold),
@@ -56,7 +60,7 @@ std::vector<Suspicion> Diagnoser::diagnose(
       if (evidence.tellp() > 0) evidence << "; ";
       evidence << "error cascade stage " << unit.cascade_stage;
     }
-    if (score > 0.05) {
+    if (score > 0.05 || pressured || unit.cascade_stage >= 1) {
       out.push_back({static_cast<std::int32_t>(i), std::min(score, 1.0),
                      evidence.str()});
     }

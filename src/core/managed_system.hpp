@@ -21,6 +21,9 @@ struct UnitHealth {
   int cascade_stage = 0;
   /// A resource-exhaustion fault (e.g. memory leak) is active.
   bool leak_active = false;
+  /// When the unit last came back from a restart or repair (0 if it never
+  /// went down). Its error reports from before then concern cleared faults.
+  double up_since = 0.0;
 };
 
 /// Backend-neutral downtime/dependability statistics of one managed

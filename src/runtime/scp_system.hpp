@@ -51,6 +51,7 @@ class ScpManagedSystem final : public core::ManagedSystem {
     h.memory_pressure = node.memory_pressure();
     h.cascade_stage = node.cascade_stage();
     h.leak_active = node.leak_active();
+    h.up_since = node.down_until();
     return h;
   }
 

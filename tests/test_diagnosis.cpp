@@ -5,6 +5,9 @@
 #include "runtime/scp_system.hpp"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace pfm::core {
 namespace {
@@ -18,6 +21,65 @@ telecom::SimConfig quiet_config() {
   cfg.noise_event_rate = 1e-12;
   cfg.lookalike_event_rate = 1e-12;
   return cfg;
+}
+
+/// A fixed snapshot: the trace and per-unit health are set by the test.
+class SnapshotSystem : public ManagedSystem {
+ public:
+  SnapshotSystem(double now, std::vector<UnitHealth> units)
+      : now_(now), units_(std::move(units)),
+        trace_(mon::SymptomSchema({"x"})) {}
+  void report(double t, std::int32_t unit) {
+    trace_.add_event(mon::ErrorEvent{t, 101, unit, 3});
+  }
+
+  std::string name() const override { return "snapshot"; }
+  double now() const override { return now_; }
+  double horizon() const override { return now_; }
+  bool finished() const override { return true; }
+  void step_to(double) override {}
+  const mon::MonitoringDataset& trace() const override { return trace_; }
+  std::size_t num_units() const override { return units_.size(); }
+  UnitHealth unit_health(std::size_t unit) const override {
+    return units_.at(unit);
+  }
+  double offered_load() const override { return 0.0; }
+  double unit_capacity() const override { return 1.0; }
+  bool service_down() const override { return false; }
+  void restart_unit(std::size_t) override {}
+  void shed_load(double, double) override {}
+  void checkpoint() override {}
+  void prepare_for_failure(double) override {}
+  SystemStats system_stats() const override { return {}; }
+
+ private:
+  double now_;
+  std::vector<UnitHealth> units_;
+  mon::MonitoringDataset trace_;
+};
+
+TEST(Diagnoser, ReportsFromBeforeARepairAreIgnored) {
+  UnitHealth repaired;
+  repaired.up_since = 500.0;
+  SnapshotSystem system(800.0, {repaired, UnitHealth{}});
+  for (double t = 100.0; t < 500.0; t += 50.0) system.report(t, 0);
+  system.report(600.0, 1);
+  Diagnoser d;
+  const auto suspects = d.diagnose(system);
+  ASSERT_EQ(suspects.size(), 1u);
+  EXPECT_EQ(suspects.front().component, 1);
+}
+
+TEST(Diagnoser, PressureBeyondTheThresholdIsSuspiciousOnItsOwn) {
+  UnitHealth pressured;
+  pressured.memory_pressure = 0.72;  // just past the default 0.70
+  SnapshotSystem system(800.0, {UnitHealth{}, pressured});
+  Diagnoser d;
+  const auto suspects = d.diagnose(system);
+  ASSERT_EQ(suspects.size(), 1u);
+  EXPECT_EQ(suspects.front().component, 1);
+  EXPECT_NE(suspects.front().evidence.find("memory pressure"),
+            std::string::npos);
 }
 
 TEST(Diagnoser, ConfigValidation) {
