@@ -33,8 +33,10 @@ class PressurePredictor final : public pred::SymptomPredictor {
 };
 
 // Golden closed-loop trajectory captured from the pre-refactor code (the
-// controller held a ScpSimulator& directly) and re-recorded once when
-// num::Rng moved to xoshiro256** and fixed-formula samplers. A one-node
+// controller held a ScpSimulator& directly), re-recorded once when
+// num::Rng moved to xoshiro256** and fixed-formula samplers, and once when
+// the simulator tick moved to one arrival and one thinned violation draw.
+// A one-node
 // fleet over the borrowing adapter must reproduce it bit-for-bit.
 TEST(ManagedSystem, MeaThroughAdapterMatchesGoldenTrajectory) {
   telecom::SimConfig cfg;
@@ -64,21 +66,21 @@ TEST(ManagedSystem, MeaThroughAdapterMatchesGoldenTrajectory) {
 
   const auto& m = mea.node_mea_stats(0);
   EXPECT_EQ(m.evaluations, 4320u);
-  EXPECT_EQ(m.warnings, 32u);
-  EXPECT_EQ(m.actions_by_kind[0], 25u);  // state cleanup
+  EXPECT_EQ(m.warnings, 20u);
+  EXPECT_EQ(m.actions_by_kind[0], 20u);  // state cleanup
   EXPECT_EQ(m.actions_by_kind[1], 0u);
   EXPECT_EQ(m.actions_by_kind[2], 0u);
-  EXPECT_EQ(m.actions_by_kind[3], 25u);  // prepared repair
+  EXPECT_EQ(m.actions_by_kind[3], 20u);  // prepared repair
   EXPECT_EQ(m.actions_by_kind[4], 0u);
 
   const auto& s = managed.stats();
-  EXPECT_EQ(s.total_requests, 15518127);
-  EXPECT_EQ(s.violations, 4295);
-  EXPECT_EQ(s.failures, 5);
-  EXPECT_DOUBLE_EQ(s.downtime, 472.0);
+  EXPECT_EQ(s.total_requests, 15500728);
+  EXPECT_EQ(s.violations, 2513);
+  EXPECT_EQ(s.failures, 6);
+  EXPECT_DOUBLE_EQ(s.downtime, 565.0);
   EXPECT_EQ(s.shed_requests, 0);
-  EXPECT_EQ(s.preventive_restarts, 25);
-  EXPECT_EQ(s.prepared_repairs, 5);
+  EXPECT_EQ(s.preventive_restarts, 20);
+  EXPECT_EQ(s.prepared_repairs, 6);
   EXPECT_EQ(s.unprepared_repairs, 0);
   EXPECT_DOUBLE_EQ(s.simulated, 259200.0);
 

@@ -233,7 +233,9 @@ TEST(Resilience, FaultFreeRunMatchesRecordedNumbers) {
   // A healthy fleet never engages the hardening: the run reproduces the
   // numbers a loop without any fault handling recorded for this
   // configuration (re-recorded once when num::Rng moved to its own engine
-  // and samplers), and every resilience counter stays zero.
+  // and samplers, and once when the simulator tick moved to one arrival
+  // and one thinned violation draw), and every resilience counter stays
+  // zero.
   runtime::FleetConfig cfg;
   cfg.mea.warning_threshold = 0.72;
   cfg.mea.action_cooldown = 600.0;
@@ -250,10 +252,10 @@ TEST(Resilience, FaultFreeRunMatchesRecordedNumbers) {
 
   EXPECT_EQ(t.rounds, 720u);
   EXPECT_EQ(t.scores_computed, 2880u);
-  EXPECT_EQ(t.warnings_raised, 23u);
+  EXPECT_EQ(t.warnings_raised, 37u);
   EXPECT_EQ(t.mea.total_actions(), 23u);
   EXPECT_DOUBLE_EQ(t.system.downtime, 0.0);
-  EXPECT_EQ(t.system.total_requests, 8083852u);
+  EXPECT_EQ(t.system.total_requests, 8081967u);
   // Hardening engaged nothing.
   EXPECT_EQ(t.resilience.node_faults, 0u);
   EXPECT_EQ(t.resilience.nodes_quarantined, 0u);
