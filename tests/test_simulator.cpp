@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace pfm::telecom {
 namespace {
@@ -21,6 +25,37 @@ TEST(SimConfig, Validation) {
   cfg = SimConfig{};
   cfg.max_violation_fraction = 0.0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+
+  // Fields the tick and the fault clocks rely on: each bad value throws a
+  // message naming its field, and so does the simulator's constructor.
+  const std::vector<std::pair<std::string, void (*)(SimConfig&)>> bad = {
+      {"response_sigma", [](SimConfig& c) { c.response_sigma = -0.25; }},
+      {"response_sigma", [](SimConfig& c) { c.response_sigma = 0.0; }},
+      {"base_response_ms", [](SimConfig& c) { c.base_response_ms[1] = 0.0; }},
+      {"base_response_ms", [](SimConfig& c) { c.base_response_ms[2] = -5.0; }},
+      {"leak_mtbf", [](SimConfig& c) { c.leak_mtbf = 0.0; }},
+      {"cascade_mtbf", [](SimConfig& c) { c.cascade_mtbf = 0.0; }},
+      {"spike_mtbf", [](SimConfig& c) { c.spike_mtbf = 0.0; }},
+      {"spike_min_factor", [](SimConfig& c) { c.spike_min_factor = 5.0; }},
+      {"spike_min_duration",
+       [](SimConfig& c) { c.spike_min_duration = 2000.0; }},
+      {"leak_min_rate", [](SimConfig& c) { c.leak_min_rate = 0.5; }},
+      {"noise_event_rate", [](SimConfig& c) { c.noise_event_rate = 0.0; }},
+      {"lookalike_event_rate",
+       [](SimConfig& c) { c.lookalike_event_rate = 0.0; }},
+  };
+  for (const auto& [field, corrupt] : bad) {
+    cfg = SimConfig{};
+    corrupt(cfg);
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << field;
+    try {
+      ScpSimulator sim(cfg);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Simulator, ReproducibleForSameSeed) {
